@@ -23,8 +23,8 @@ import time
 
 from repro.engine import Engine, EngineConfig
 from repro.engine.adapters import run_conformance_sharded
-from repro.oracle import FORMATS_BY_NAME
 from repro.oracle.runner import run_conformance
+from repro.softfloat.formats import FORMATS_BY_NAME
 
 BENCH_OPS = ["add", "mul", "div", "sqrt"]
 BENCH_BUDGET = 4000

@@ -28,9 +28,9 @@ import time
 import numpy as np
 
 from repro.fpenv.rounding import RoundingMode
-from repro.oracle import FORMATS_BY_NAME
 from repro.oracle.runner import run_conformance
 from repro.softfloat import BINARY16, ScalarBackend, get_backend
+from repro.softfloat.formats import FORMATS_BY_NAME
 
 BENCH_OPS = ["add", "mul", "div", "sqrt"]
 BATCH_SIZES = [256, 1024, 4096, 16384]

@@ -129,7 +129,7 @@ TOTAL_SLACK_SECONDS = 0.25
 def _sweep(workers: int):
     from repro.engine import Engine, EngineConfig
     from repro.engine.adapters import run_conformance_sharded
-    from repro.oracle import FORMATS_BY_NAME
+    from repro.softfloat.formats import FORMATS_BY_NAME
 
     engine = Engine(EngineConfig(
         workers=workers, cache_enabled=False, shard_timeout=300.0,

@@ -177,7 +177,7 @@ def test_guided_fast_math_witness(benchmark):
 def test_exhaustive_tiny8_proof(benchmark):
     """A full-domain TINY8 sweep (no bindings: every encoding,
     including NaNs) stays inside the benchmark budget."""
-    from repro.oracle import FORMATS_BY_NAME
+    from repro.softfloat.formats import FORMATS_BY_NAME
     from repro.optsim.machine import STRICT
 
     expr = parse_expr("min(a, b)")

@@ -664,7 +664,9 @@ def _agreement_line(safety, report) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from repro.oracle import FORMATS_BY_NAME, MODE_ALIASES, run_conformance
+    from repro.fpenv.rounding import MODE_ALIASES
+    from repro.oracle import run_conformance
+    from repro.softfloat.formats import FORMATS_BY_NAME
 
     fmt = FORMATS_BY_NAME[args.fmt]
     ops = [op.strip() for op in args.ops.split(",") if op.strip()]
@@ -1051,13 +1053,14 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         )
 
     # demo: run a small instrumented workload end to end.
-    from repro.oracle import FORMATS_BY_NAME, run_conformance
+    from repro.oracle import run_conformance
     from repro.optsim import find_divergence, optimization_level, parse_expr
+    from repro.softfloat.formats import BINARY16
     from repro.telemetry import telemetry_session
 
     with telemetry_session() as session:
         run_conformance(
-            FORMATS_BY_NAME["binary16"], ["add", "mul"],
+            BINARY16, ["add", "mul"],
             budget=args.budget, native=False,
         )
         find_divergence(parse_expr("(a + b) + c"), optimization_level("-O3"))

@@ -53,7 +53,8 @@ __all__ = [
 @task("oracle.op_slice")
 def _oracle_op_slice(params: dict, ctx) -> dict:
     """Cases ``[case_lo, case_hi)`` of one op's differential sweep."""
-    from repro.oracle.runner import FORMATS_BY_NAME, run_op_slice
+    from repro.oracle.runner import run_op_slice
+    from repro.softfloat.formats import FORMATS_BY_NAME
 
     fmt = FORMATS_BY_NAME[params["format"]]
     modes = tuple(RoundingMode(v) for v in params["modes"])
@@ -440,7 +441,7 @@ def witness_sweep_sharded(
 
     config = _resolve_level(level)
     if fmt is not None:
-        from repro.oracle import FORMATS_BY_NAME
+        from repro.softfloat.formats import FORMATS_BY_NAME
 
         config = config.replace(fmt=FORMATS_BY_NAME[fmt])
     expr = parse_expr(expr_text)

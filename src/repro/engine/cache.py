@@ -93,6 +93,9 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
+    #: disk lines that did not parse as a record (a write torn by a
+    #: killed run), skipped when the disk tier is indexed
+    torn_lines: int = 0
 
     @property
     def lookups(self) -> int:
@@ -110,6 +113,7 @@ class CacheStats:
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
+            "torn_lines": self.torn_lines,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -155,7 +159,7 @@ class ResultCache:
                             record = json.loads(line)
                             index[record["key"]] = offset
                         except (ValueError, KeyError, TypeError):
-                            pass  # torn write from a killed run: skip
+                            self.stats.torn_lines += 1
                         offset += len(line)
             self._disk_index = index
         return self._disk_index

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["RoundingMode"]
+__all__ = ["RoundingMode", "MODE_ALIASES"]
 
 
 class RoundingMode(enum.Enum):
@@ -66,3 +66,13 @@ class RoundingMode(enum.Enum):
         if self is RoundingMode.TOWARD_NEGATIVE:
             return sign == 1
         raise AssertionError(f"unhandled rounding mode {self!r}")
+
+
+#: CLI/wire spellings for rounding modes.
+MODE_ALIASES = {
+    "rne": RoundingMode.NEAREST_EVEN,
+    "rna": RoundingMode.NEAREST_AWAY,
+    "rtz": RoundingMode.TOWARD_ZERO,
+    "rtp": RoundingMode.TOWARD_POSITIVE,
+    "rtn": RoundingMode.TOWARD_NEGATIVE,
+}

@@ -60,6 +60,7 @@ from repro.softfloat import (
     fp_sub,
     parse_softfloat,
 )
+from repro.softfloat.formats import FORMATS_BY_NAME
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import single_flags
 
@@ -600,8 +601,6 @@ def sweep_slice(
 
     config = _resolve_level(level)
     if fmt is not None:
-        from repro.oracle import FORMATS_BY_NAME
-
         config = config.replace(fmt=FORMATS_BY_NAME[fmt])
     expr = parse_expr(expr_source)
     optimized = optimize(expr, config)

@@ -44,8 +44,6 @@ from repro.oracle.exact import (
 from repro.oracle.optcheck import OracleEvalResult, oracle_evaluate
 from repro.oracle.report import ConformanceReport, Discrepancy, OpStats
 from repro.oracle.runner import (
-    FORMATS_BY_NAME,
-    MODE_ALIASES,
     OracleMismatch,
     check_case,
     run_conformance,
@@ -76,8 +74,6 @@ __all__ = [
     "Discrepancy",
     "OpStats",
     "OracleMismatch",
-    "FORMATS_BY_NAME",
-    "MODE_ALIASES",
     "oracle_evaluate",
     "OracleEvalResult",
 ]

@@ -1,14 +1,17 @@
-"""The exact-rounding reference: IEEE 754 computed over exact rationals.
+"""The exact-rounding reference: IEEE 754 computed over exact integers.
 
-This module is the *oracle* half of the conformance subsystem: every
-operation is computed exactly on :class:`fractions.Fraction` (or, for
-square root, by integer-square-root with exact square comparisons) and
-then correctly rounded into the destination format by comparing the
-exact remainder against the halfway point.  Nothing here shares code
-with the engine's round-and-pack path — the engine works on shifted
-integer mantissas with guard/sticky markers, the oracle on rational
-remainder comparisons — so a bug has to appear *twice, independently*
-to escape the differential runner.
+This module is the *oracle* half of the conformance subsystem.  Each
+operand is decoded once into a sign and an exact integer significand
+scaled by a power of two, ``mant * 2**exp2``; every operation is then
+computed exactly on those integers — sums by aligning exponents,
+products and quotients as an integer ratio ``num / den * 2**exp2``, and
+square root by integer square root with exact square comparisons — and
+correctly rounded into the destination format by comparing the exact
+remainder against the halfway point.  Nothing here shares code with
+the engine's round-and-pack path — the engine works on shifted integer
+mantissas with guard/sticky markers, the oracle on exact
+remainder-vs-halfway comparisons of a full-width ratio — so a bug has
+to appear *twice, independently* to escape the differential runner.
 
 The oracle reproduces the engine's *documented* latitude choices so
 that agreement can be demanded bit-for-bit:
@@ -27,12 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.softfloat.formats import FloatFormat
 from repro.softfloat.value import SoftFloat
+
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
 
 __all__ = [
     "OracleConfig",
@@ -88,8 +94,25 @@ class OracleResult:
 
 
 # ----------------------------------------------------------------------
-# Correct rounding of an exact rational magnitude
+# Correct rounding of an exact magnitude
 # ----------------------------------------------------------------------
+_RNE = RoundingMode.NEAREST_EVEN
+_RNA = RoundingMode.NEAREST_AWAY
+_RTZ = RoundingMode.TOWARD_ZERO
+_RTP = RoundingMode.TOWARD_POSITIVE
+_RTN = RoundingMode.TOWARD_NEGATIVE
+
+# Every flag set by its integer value, so results index instead of
+# combining enum members on the hot path.
+_FLAGS = tuple(FPFlag(value) for value in range(FPFlag.ALL.value + 1))
+_INVALID = FPFlag.INVALID.value
+_DIV_BY_ZERO = FPFlag.DIV_BY_ZERO.value
+_OVERFLOW = FPFlag.OVERFLOW.value
+_UNDERFLOW = FPFlag.UNDERFLOW.value
+_INEXACT = FPFlag.INEXACT.value
+_DENORMAL = FPFlag.DENORMAL_RESULT.value
+
+
 def _ilog2(num: int, den: int) -> int:
     """``floor(log2(num/den))`` for positive integers, exactly."""
     k = num.bit_length() - den.bit_length()
@@ -99,30 +122,30 @@ def _ilog2(num: int, den: int) -> int:
     return k if (num << -k) >= den else k - 1
 
 
-def _rounds_up(mode: RoundingMode, sign: int, odd: bool, state: int) -> bool:
+def _rounds_up(mode: RoundingMode, sign: int, odd: int, state: int) -> bool:
     """Independent reimplementation of the five rounding decisions."""
     if state == _EXACT:
         return False
-    if mode is RoundingMode.NEAREST_EVEN:
-        return state == _ABOVE_HALF or (state == _HALF and odd)
-    if mode is RoundingMode.NEAREST_AWAY:
-        return state in (_HALF, _ABOVE_HALF)
-    if mode is RoundingMode.TOWARD_ZERO:
+    if mode is _RNE:
+        return state == _ABOVE_HALF or (state == _HALF and odd == 1)
+    if mode is _RNA:
+        return state != _BELOW_HALF
+    if mode is _RTZ:
         return False
-    if mode is RoundingMode.TOWARD_POSITIVE:
+    if mode is _RTP:
         return sign == 0
-    if mode is RoundingMode.TOWARD_NEGATIVE:
+    if mode is _RTN:
         return sign == 1
     raise AssertionError(f"unhandled rounding mode {mode!r}")
 
 
 def _overflow_bits(fmt: FloatFormat, mode: RoundingMode, sign: int) -> int:
     """Result encoding on overflow (inf or max-finite per direction)."""
-    if mode in (RoundingMode.NEAREST_EVEN, RoundingMode.NEAREST_AWAY):
+    if mode is _RNE or mode is _RNA:
         return fmt.inf_bits(sign)
-    if mode is RoundingMode.TOWARD_ZERO:
+    if mode is _RTZ:
         return fmt.max_finite_bits(sign)
-    if mode is RoundingMode.TOWARD_POSITIVE:
+    if mode is _RTP:
         return fmt.inf_bits(0) if sign == 0 else fmt.max_finite_bits(1)
     return fmt.inf_bits(1) if sign == 1 else fmt.max_finite_bits(0)
 
@@ -139,250 +162,331 @@ def _finish(
     """Deliver the truncated significand ``n`` at granularity ``2**q``
     whose discarded part compares to half a ULP as ``state``."""
     precision = fmt.precision
-    inexact = state != _EXACT
-    if _rounds_up(cfg.rounding, sign, bool(n & 1), state):
+    if _rounds_up(cfg.rounding, sign, n & 1, state):
         n += 1
-        if n == (1 << precision):  # carry out of the significand
+        if n >> precision:  # carry out of the significand
             n >>= 1
             q += 1
+    sign_bits = sign << (fmt.width - 1)
 
     if n == 0:
         # A tiny value rounded all the way down to zero.
-        return OracleResult(fmt.zero_bits(sign),
-                            FPFlag.INEXACT | FPFlag.UNDERFLOW)
+        return OracleResult(sign_bits, _FLAGS[_INEXACT | _UNDERFLOW])
 
     msb_exp = q + n.bit_length() - 1
     if msb_exp > fmt.emax:
         return OracleResult(_overflow_bits(fmt, cfg.rounding, sign),
-                            FPFlag.OVERFLOW | FPFlag.INEXACT)
+                            _FLAGS[_OVERFLOW | _INEXACT])
 
     subnormal = n.bit_length() < precision
     if cfg.tininess == "before":
         tiny = tiny_before
     else:
         tiny = tiny_before and subnormal
-    flags = FPFlag.NONE
-    if inexact:
-        flags |= FPFlag.INEXACT
-        if tiny:
-            flags |= FPFlag.UNDERFLOW
+    flags = 0
+    if state != _EXACT:
+        flags = _INEXACT | _UNDERFLOW if tiny else _INEXACT
 
     if not subnormal:
-        return OracleResult(fmt.pack(sign, msb_exp + fmt.bias,
-                                     n & fmt.sig_mask), flags)
+        biased_exp = msb_exp + fmt.bias
+        return OracleResult(
+            sign_bits | (biased_exp << fmt.frac_bits) | (n & fmt.sig_mask),
+            _FLAGS[flags])
 
-    if q != fmt.emin - (precision - 1):  # pragma: no cover - invariant
+    if q != fmt.emin - fmt.frac_bits:  # pragma: no cover - invariant
         raise AssertionError("subnormal delivered at the wrong granularity")
     if cfg.ftz:
-        return OracleResult(fmt.zero_bits(sign),
-                            flags | FPFlag.UNDERFLOW | FPFlag.INEXACT)
-    return OracleResult(fmt.pack(sign, 0, n), flags | FPFlag.DENORMAL_RESULT)
+        return OracleResult(sign_bits,
+                            _FLAGS[flags | _UNDERFLOW | _INEXACT])
+    return OracleResult(sign_bits | n, _FLAGS[flags | _DENORMAL])
+
+
+def _round_ratio(
+    fmt: FloatFormat, cfg: OracleConfig, sign: int, num: int, den: int,
+    exp2: int,
+) -> OracleResult:
+    """Correctly round the positive value ``num / den * 2**exp2`` into
+    ``fmt`` with the exact flag set.  This is the oracle's core
+    primitive: every finite nonzero sum, product and quotient ends
+    here."""
+    e = _ilog2(num, den) + exp2
+    emin = fmt.emin
+    tiny_before = e < emin
+    q = (emin if tiny_before else e) - fmt.frac_bits
+    # n = floor(value / 2**q), remainder compared against half a ULP.
+    shift = exp2 - q
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    n, rem = divmod(num, den)
+    if rem == 0:
+        state = _EXACT
+    else:
+        doubled = rem << 1
+        state = (_BELOW_HALF if doubled < den
+                 else _HALF if doubled == den else _ABOVE_HALF)
+    return _finish(fmt, cfg, sign, n, q, state, tiny_before)
 
 
 def round_fraction_exact(
     fmt: FloatFormat, magnitude: Fraction, cfg: OracleConfig, sign: int = 0
 ) -> OracleResult:
     """Correctly round the positive rational ``magnitude`` into ``fmt``
-    with the exact flag set.  This is the oracle's core primitive."""
+    with the exact flag set (a thin wrapper over the integer core)."""
     if magnitude <= 0:
         raise ValueError("round_fraction_exact needs a positive magnitude")
-    num, den = magnitude.numerator, magnitude.denominator
-    e = _ilog2(num, den)
-    tiny_before = e < fmt.emin
-    q = (fmt.emin if tiny_before else e) - (fmt.precision - 1)
-    # n = floor(magnitude / 2**q), remainder compared against half a ULP.
-    if q >= 0:
-        den <<= q
-    else:
-        num <<= -q
-    n, rem = divmod(num, den)
-    if rem == 0:
-        state = _EXACT
-    else:
-        doubled = 2 * rem
-        state = (_BELOW_HALF if doubled < den
-                 else _HALF if doubled == den else _ABOVE_HALF)
-    return _finish(fmt, cfg, sign, n, q, state, tiny_before)
+    return _round_ratio(fmt, cfg, sign, magnitude.numerator,
+                        magnitude.denominator, 0)
 
 
-def _sqrt_exact(fmt: FloatFormat, magnitude: Fraction,
-                cfg: OracleConfig) -> OracleResult:
-    """Correctly round ``sqrt(magnitude)``: integer square root plus
-    exact square comparisons against the halfway point."""
-    num, den = magnitude.numerator, magnitude.denominator
-    e_r = _ilog2(num, den) // 2  # floor exponent of the square root
-    tiny_before = e_r < fmt.emin
-    q = (fmt.emin if tiny_before else e_r) - (fmt.precision - 1)
-    # sqrt(magnitude)/2**q = sqrt(M) with M = magnitude * 4**(-q).
-    if q >= 0:
-        den <<= 2 * q
-    else:
-        num <<= -2 * q
-    # floor(sqrt(num/den)) = floor(isqrt(num*den) / den).
-    n = math.isqrt(num * den) // den
-    if n * n * den == num:
+def _round_sqrt(
+    fmt: FloatFormat, cfg: OracleConfig, mant: int, exp2: int
+) -> OracleResult:
+    """Correctly round ``sqrt(mant * 2**exp2)``: integer square root
+    plus exact square comparisons against the halfway point."""
+    e_r = (mant.bit_length() - 1 + exp2) // 2  # floor exponent of the root
+    emin = fmt.emin
+    tiny_before = e_r < emin
+    q = (emin if tiny_before else e_r) - fmt.frac_bits
+    # sqrt(value) / 2**q = sqrt(m) with the integer m = value * 4**(-q);
+    # the shift is never negative for an operand of the format.
+    m = mant << (exp2 - 2 * q)
+    n = math.isqrt(m)
+    if n * n == m:
         state = _EXACT
     else:
-        # Compare M against (n + 1/2)**2 = (2n+1)**2 / 4.
-        lhs, rhs = 4 * num, (2 * n + 1) ** 2 * den
+        # Compare m against (n + 1/2)**2 = (2n+1)**2 / 4.
+        lhs, rhs = m << 2, ((n << 1) + 1) ** 2
         state = (_BELOW_HALF if lhs < rhs
                  else _HALF if lhs == rhs else _ABOVE_HALF)
     return _finish(fmt, cfg, 0, n, q, state, tiny_before)
 
 
 # ----------------------------------------------------------------------
-# Special-operand policy (independent restatement of the engine's rules)
+# Operand decoding and the special-operand policy (an independent
+# restatement of the engine's rules)
 # ----------------------------------------------------------------------
-def _propagated_nan(fmt: FloatFormat, *operands: SoftFloat) -> OracleResult:
-    flags = (FPFlag.INVALID
-             if any(x.is_signaling_nan for x in operands) else FPFlag.NONE)
-    for x in operands:
-        if x.is_nan:
-            return OracleResult(x.bits | fmt.quiet_bit, flags)
-    raise AssertionError("no NaN operand to propagate")
+def _decode(fmt: FloatFormat, cfg: OracleConfig, bits: int) -> tuple[int, int]:
+    """``(sign, magnitude)`` of an encoding, with DAZ applied: the
+    magnitude is the encoding without its sign bit, so it orders
+    zero < subnormal < normal < inf < NaN."""
+    sign = bits >> (fmt.width - 1)
+    magnitude = bits & ~(sign << (fmt.width - 1))
+    if cfg.daz and magnitude < fmt.hidden_bit:
+        magnitude = 0
+    return sign, magnitude
+
+
+def _scaled(fmt: FloatFormat, magnitude: int) -> tuple[int, int]:
+    """A finite magnitude as ``(mant, exp2)``: value = mant * 2**exp2."""
+    biased_exp = magnitude >> fmt.frac_bits
+    if biased_exp == 0:  # zero or subnormal: the exponent of emin
+        return magnitude, 1 - fmt.bias - fmt.frac_bits
+    return ((magnitude & fmt.sig_mask) | fmt.hidden_bit,
+            biased_exp - fmt.bias - fmt.frac_bits)
+
+
+def _inf(fmt: FloatFormat) -> int:
+    """The magnitude of infinity; anything above it is a NaN."""
+    return fmt.max_biased_exp << fmt.frac_bits
+
+
+def _propagated_nan(fmt: FloatFormat, *operands: int) -> OracleResult:
+    inf, quiet = _inf(fmt), fmt.quiet_bit
+    sign_bit = 1 << (fmt.width - 1)
+    nans = [x for x in operands if x & ~sign_bit > inf]
+    signaling = any(not x & quiet for x in nans)
+    return OracleResult(nans[0] | quiet,
+                        _FLAGS[_INVALID if signaling else 0])
 
 
 def _default_nan(fmt: FloatFormat) -> OracleResult:
-    return OracleResult(fmt.quiet_nan_bits(), FPFlag.INVALID)
+    return OracleResult(fmt.quiet_nan_bits(), _FLAGS[_INVALID])
 
 
-def _daz(cfg: OracleConfig, x: SoftFloat) -> SoftFloat:
-    if cfg.daz and x.is_subnormal:
-        return SoftFloat.zero(x.fmt, x.sign)
-    return x
+def _exact(fmt: FloatFormat, sign: int, magnitude: int,
+           flags: int = 0) -> OracleResult:
+    """A result delivered without rounding (zeros, infinities, and
+    operands passed through)."""
+    return OracleResult((sign << (fmt.width - 1)) | magnitude, _FLAGS[flags])
 
 
 def _cancel_zero_sign(cfg: OracleConfig) -> int:
-    return 1 if cfg.rounding is RoundingMode.TOWARD_NEGATIVE else 0
+    return 1 if cfg.rounding is _RTN else 0
 
 
-def _passthrough(x: SoftFloat) -> OracleResult:
-    return OracleResult(x.bits, FPFlag.NONE)
+def _round_sum(
+    fmt: FloatFormat, cfg: OracleConfig,
+    sa: int, ma: int, ea: int, sb: int, mb: int, eb: int,
+) -> OracleResult:
+    """Correctly round ``±ma * 2**ea ± mb * 2**eb``, aligned exactly."""
+    if ea > eb:
+        ma <<= ea - eb
+        ea = eb
+    else:
+        mb <<= eb - ea
+    total = (-ma if sa else ma) + (-mb if sb else mb)
+    if total == 0:
+        return _exact(fmt, _cancel_zero_sign(cfg), 0)
+    if total < 0:
+        return _round_ratio(fmt, cfg, 1, -total, 1, ea)
+    return _round_ratio(fmt, cfg, 0, total, 1, ea)
 
 
 # ----------------------------------------------------------------------
-# Operations
+# Operations on encodings
+# ----------------------------------------------------------------------
+def _add(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    inf = _inf(fmt)
+    sa, ma = _decode(fmt, cfg, a)
+    sb, mb = _decode(fmt, cfg, b)
+    if ma > inf or mb > inf:
+        return _propagated_nan(fmt, a, b)
+    if ma == inf or mb == inf:
+        if ma == mb and sa != sb:
+            return _default_nan(fmt)
+        return _exact(fmt, sa, ma) if ma == inf else _exact(fmt, sb, mb)
+    if ma == 0 and mb == 0:
+        return _exact(fmt, sa if sa == sb else _cancel_zero_sign(cfg), 0)
+    if ma == 0:
+        return _exact(fmt, sb, mb)
+    if mb == 0:
+        return _exact(fmt, sa, ma)
+    return _round_sum(fmt, cfg, sa, *_scaled(fmt, ma), sb, *_scaled(fmt, mb))
+
+
+def _sub(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    # NaN payloads come from the *original* operands, then a + (-b).
+    inf = _inf(fmt)
+    sign_bit = 1 << (fmt.width - 1)
+    if a & ~sign_bit > inf or b & ~sign_bit > inf:
+        return _propagated_nan(fmt, a, b)
+    return _add(fmt, cfg, a, b ^ sign_bit)
+
+
+def _mul(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    inf = _inf(fmt)
+    sa, ma = _decode(fmt, cfg, a)
+    sb, mb = _decode(fmt, cfg, b)
+    if ma > inf or mb > inf:
+        return _propagated_nan(fmt, a, b)
+    sign = sa ^ sb
+    if ma == inf or mb == inf:
+        if ma == 0 or mb == 0:
+            return _default_nan(fmt)
+        return _exact(fmt, sign, inf)
+    if ma == 0 or mb == 0:
+        return _exact(fmt, sign, 0)
+    mant_a, ea = _scaled(fmt, ma)
+    mant_b, eb = _scaled(fmt, mb)
+    return _round_ratio(fmt, cfg, sign, mant_a * mant_b, 1, ea + eb)
+
+
+def _div(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    inf = _inf(fmt)
+    sa, ma = _decode(fmt, cfg, a)
+    sb, mb = _decode(fmt, cfg, b)
+    if ma > inf or mb > inf:
+        return _propagated_nan(fmt, a, b)
+    sign = sa ^ sb
+    if ma == inf:
+        return _default_nan(fmt) if mb == inf else _exact(fmt, sign, inf)
+    if mb == inf:
+        return _exact(fmt, sign, 0)
+    if mb == 0:
+        if ma == 0:
+            return _default_nan(fmt)
+        return _exact(fmt, sign, inf, _DIV_BY_ZERO)
+    if ma == 0:
+        return _exact(fmt, sign, 0)
+    mant_a, ea = _scaled(fmt, ma)
+    mant_b, eb = _scaled(fmt, mb)
+    return _round_ratio(fmt, cfg, sign, mant_a, mant_b, ea - eb)
+
+
+def _sqrt(fmt: FloatFormat, cfg: OracleConfig, a: int) -> OracleResult:
+    inf = _inf(fmt)
+    sa, ma = _decode(fmt, cfg, a)
+    if ma > inf:
+        return _propagated_nan(fmt, a)
+    if ma == 0:
+        return _exact(fmt, sa, 0)  # sqrt(±0) = ±0
+    if sa:
+        return _default_nan(fmt)
+    if ma == inf:
+        return _exact(fmt, 0, inf)
+    return _round_sqrt(fmt, cfg, *_scaled(fmt, ma))
+
+
+def _fma(
+    fmt: FloatFormat, cfg: OracleConfig, a: int, b: int, c: int
+) -> OracleResult:
+    inf = _inf(fmt)
+    sign_bit = 1 << (fmt.width - 1)
+    raw = (a & ~sign_bit, b & ~sign_bit, c & ~sign_bit)
+    if any(m > inf and not m & fmt.quiet_bit for m in raw):
+        return _propagated_nan(fmt, a, b, c)
+    # Judged on the operands as given, before DAZ.
+    if (raw[0] == inf and raw[1] == 0) or (raw[0] == 0 and raw[1] == inf):
+        return _default_nan(fmt)
+    if max(raw) > inf:
+        return _propagated_nan(fmt, a, b, c)
+    sa, ma = _decode(fmt, cfg, a)
+    sb, mb = _decode(fmt, cfg, b)
+    sc, mc = _decode(fmt, cfg, c)
+    psign = sa ^ sb
+    if ma == inf or mb == inf:
+        if mc == inf and sc != psign:
+            return _default_nan(fmt)
+        return _exact(fmt, psign, inf)
+    if mc == inf:
+        return _exact(fmt, sc, inf)
+    if ma == 0 or mb == 0:
+        if mc == 0:
+            return _exact(fmt, psign if psign == sc
+                          else _cancel_zero_sign(cfg), 0)
+        return _exact(fmt, sc, mc)
+    mant_a, ea = _scaled(fmt, ma)
+    mant_b, eb = _scaled(fmt, mb)
+    return _round_sum(fmt, cfg, psign, mant_a * mant_b, ea + eb,
+                      sc, *_scaled(fmt, mc))
+
+
+# ----------------------------------------------------------------------
+# SoftFloat entry points
 # ----------------------------------------------------------------------
 def oracle_add(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
     """Exact-rounding reference for IEEE addition."""
-    fmt = a.fmt
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(fmt, a, b)
-    a, b = _daz(cfg, a), _daz(cfg, b)
-    if a.is_inf or b.is_inf:
-        if a.is_inf and b.is_inf:
-            if a.sign != b.sign:
-                return _default_nan(fmt)
-            return _passthrough(a)
-        return _passthrough(a if a.is_inf else b)
-    if a.is_zero and b.is_zero:
-        if a.sign == b.sign:
-            return _passthrough(a)
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), FPFlag.NONE)
-    if a.is_zero:
-        return _passthrough(b)
-    if b.is_zero:
-        return _passthrough(a)
-    exact = a.to_fraction() + b.to_fraction()
-    if exact == 0:
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), FPFlag.NONE)
-    sign = 1 if exact < 0 else 0
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
+    return _add(a.fmt, cfg, a.bits, b.bits)
 
 
 def oracle_sub(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
     """Exact-rounding reference for IEEE subtraction (NaN payloads come
     from the *original* operands, then ``a + (-b)``)."""
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(a.fmt, a, b)
-    return oracle_add(cfg, a, -b)
+    return _sub(a.fmt, cfg, a.bits, b.bits)
 
 
 def oracle_mul(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
     """Exact-rounding reference for IEEE multiplication."""
-    fmt = a.fmt
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(fmt, a, b)
-    a, b = _daz(cfg, a), _daz(cfg, b)
-    sign = a.sign ^ b.sign
-    if a.is_inf or b.is_inf:
-        if a.is_zero or b.is_zero:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), FPFlag.NONE)
-    if a.is_zero or b.is_zero:
-        return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-    exact = a.to_fraction() * b.to_fraction()
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
+    return _mul(a.fmt, cfg, a.bits, b.bits)
 
 
 def oracle_div(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
     """Exact-rounding reference for IEEE division."""
-    fmt = a.fmt
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(fmt, a, b)
-    a, b = _daz(cfg, a), _daz(cfg, b)
-    sign = a.sign ^ b.sign
-    if a.is_inf:
-        if b.is_inf:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), FPFlag.NONE)
-    if b.is_inf:
-        return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-    if b.is_zero:
-        if a.is_zero:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), FPFlag.DIV_BY_ZERO)
-    if a.is_zero:
-        return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-    exact = a.to_fraction() / b.to_fraction()
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
+    return _div(a.fmt, cfg, a.bits, b.bits)
 
 
 def oracle_sqrt(cfg: OracleConfig, a: SoftFloat) -> OracleResult:
     """Exact-rounding reference for IEEE square root."""
-    fmt = a.fmt
-    if a.is_nan:
-        return _propagated_nan(fmt, a)
-    a = _daz(cfg, a)
-    if a.is_zero:
-        return _passthrough(a)  # sqrt(±0) = ±0
-    if a.sign:
-        return _default_nan(fmt)
-    if a.is_inf:
-        return _passthrough(a)
-    return _sqrt_exact(fmt, a.to_fraction(), cfg)
+    return _sqrt(a.fmt, cfg, a.bits)
 
 
 def oracle_fma(
     cfg: OracleConfig, a: SoftFloat, b: SoftFloat, c: SoftFloat
 ) -> OracleResult:
     """Exact-rounding reference for fused multiply-add (one rounding)."""
-    fmt = a.fmt
-    if a.is_signaling_nan or b.is_signaling_nan or c.is_signaling_nan:
-        return _propagated_nan(fmt, a, b, c)
-    product_invalid = (a.is_inf and b.is_zero) or (a.is_zero and b.is_inf)
-    if product_invalid and not (a.is_nan or b.is_nan):
-        return _default_nan(fmt)
-    if a.is_nan or b.is_nan or c.is_nan:
-        return _propagated_nan(fmt, a, b, c)
-    a, b, c = _daz(cfg, a), _daz(cfg, b), _daz(cfg, c)
-    psign = a.sign ^ b.sign
-    if a.is_inf or b.is_inf:
-        if c.is_inf and c.sign != psign:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(psign), FPFlag.NONE)
-    if c.is_inf:
-        return _passthrough(c)
-    if a.is_zero or b.is_zero:
-        if c.is_zero:
-            sign = psign if psign == c.sign else _cancel_zero_sign(cfg)
-            return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-        return _passthrough(c)
-    exact = a.to_fraction() * b.to_fraction() + c.to_fraction()
-    if exact == 0:
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), FPFlag.NONE)
-    sign = 1 if exact < 0 else 0
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
+    return _fma(a.fmt, cfg, a.bits, b.bits, c.bits)
 
 
 #: Oracle dispatch by operation name.

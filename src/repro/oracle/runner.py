@@ -28,7 +28,10 @@ from collections.abc import Sequence
 
 from repro.errors import ReproError
 from repro.fpenv.env import FPEnv
-from repro.fpenv.rounding import RoundingMode
+from repro.fpenv.flags import FPFlag
+# MODE_ALIASES and FORMATS_BY_NAME are imported here only for
+# perfbench/serve.py, which reads them from this module.
+from repro.fpenv.rounding import MODE_ALIASES, RoundingMode  # noqa: F401
 from repro.oracle.cases import (
     EXHAUSTIVE_WIDTH_LIMIT,
     boundary_operands,
@@ -44,25 +47,13 @@ from repro.oracle.report import ConformanceReport, Discrepancy, OpStats
 from repro.oracle.shrink import shrink_case
 from repro.softfloat.arith import fp_add, fp_div, fp_mul, fp_sub
 from repro.softfloat.fma import fp_fma
-from repro.softfloat.formats import (
-    BFLOAT16,
-    BINARY16,
-    BINARY32,
-    BINARY64,
-    BINARY128,
-    E4M3,
-    E5M2,
-    TINY8,
-    FloatFormat,
-)
+from repro.softfloat.formats import FORMATS_BY_NAME, FloatFormat  # noqa: F401
 from repro.softfloat.sqrt import fp_sqrt
 from repro.softfloat.value import SoftFloat
 from repro.telemetry import get_telemetry
 
 __all__ = [
     "ENGINE_OPS",
-    "FORMATS_BY_NAME",
-    "MODE_ALIASES",
     "OracleMismatch",
     "run_conformance",
     "check_case",
@@ -81,22 +72,6 @@ ENGINE_OPS = {
     "fma": fp_fma,
 }
 
-FORMATS_BY_NAME: dict[str, FloatFormat] = {
-    f.name: f
-    for f in (TINY8, E4M3, E5M2, BFLOAT16, BINARY16, BINARY32, BINARY64,
-              BINARY128)
-}
-
-#: CLI spellings for rounding modes.
-MODE_ALIASES = {
-    "rne": RoundingMode.NEAREST_EVEN,
-    "rna": RoundingMode.NEAREST_AWAY,
-    "rtz": RoundingMode.TOWARD_ZERO,
-    "rtp": RoundingMode.TOWARD_POSITIVE,
-    "rtn": RoundingMode.TOWARD_NEGATIVE,
-}
-
-
 class OracleMismatch(ReproError):
     """Raised by callers that demand conformance (e.g. the optsim
     cross-validation path) when the engine and oracle disagree."""
@@ -109,12 +84,13 @@ def _engine_run(
     mode: RoundingMode,
     ftz: bool,
     daz: bool,
-) -> tuple[int, object]:
-    """Execute one case on the softfloat engine; returns (bits, flags)."""
+) -> tuple[int, int]:
+    """Execute one case on the softfloat engine; returns (bits, flag
+    value)."""
     env = FPEnv(rounding=mode, ftz=ftz, daz=daz)
     values = tuple(SoftFloat(fmt, bits) for bits in operands)
     result = ENGINE_OPS[op](*values, env)
-    return result.bits, env.flags
+    return result.bits, env.flags.value
 
 
 #: Batch granularity for backend-driven engine evaluation.  Large enough
@@ -128,24 +104,22 @@ def _batched_engine_results(
     fmt: FloatFormat,
     plan: list[tuple[int, tuple[int, ...], RoundingMode, bool, bool]],
     backend,
-) -> list[tuple[int, object]]:
+) -> list[tuple[int, int]]:
     """Run a slice's evaluation plan through a softfloat backend.
 
     ``plan`` rows are ``(case_index, operands, mode, ftz, daz)``.
     Evaluations are grouped by environment — one ``run_packed`` call
     handles a whole (mode, FTZ, DAZ) cell at a time — and results come
-    back aligned with the plan, as the same ``(bits, FPFlag)`` pairs
-    :func:`_engine_run` would have produced.  Cells the backend does
-    not support (e.g. binary128 on the integer-lane batch kernels)
+    back aligned with the plan, as the same ``(bits, flag value)``
+    pairs :func:`_engine_run` would have produced.  Cells the backend
+    does not support (e.g. binary128 on the integer-lane batch kernels)
     fall back to the scalar engine lane by lane, so the plan always
     completes and the differential verdict never depends on backend
     coverage.
     """
     import numpy as np
 
-    from repro.fpenv.flags import FPFlag
-
-    results: list[tuple[int, object] | None] = [None] * len(plan)
+    results: list[tuple[int, int] | None] = [None] * len(plan)
     groups: dict[tuple, list[int]] = {}
     for pos, (_, _, mode, ftz, daz) in enumerate(plan):
         groups.setdefault((mode, ftz, daz), []).append(pos)
@@ -164,63 +138,42 @@ def _batched_engine_results(
                 for slot in range(arity)
             ]
             batch = backend.run_packed(op, fmt, lanes, mode, ftz, daz)
-            for lane, pos in enumerate(chunk):
-                results[pos] = (
-                    int(batch.bits[lane]), FPFlag(int(batch.flags[lane]))
-                )
+            for pos, pair in zip(chunk, zip(batch.bits.tolist(),
+                                            batch.flags.tolist())):
+                results[pos] = pair
     return results  # type: ignore[return-value]
-
-
-def _check(
-    op: str,
-    fmt: FloatFormat,
-    operands: tuple[int, ...],
-    mode: RoundingMode,
-    ftz: bool,
-    daz: bool,
-    tininess: str,
-) -> tuple[int, Discrepancy | None]:
-    """One differential evaluation; returns (engine_bits, discrepancy)."""
-    engine_bits, engine_flags = _engine_run(op, fmt, operands, mode, ftz, daz)
-    return _check_with_engine(
-        op, fmt, operands, mode, ftz, daz, tininess,
-        engine_bits, engine_flags,
-    )
 
 
 def _check_with_engine(
     op: str,
     fmt: FloatFormat,
     operands: tuple[int, ...],
-    mode: RoundingMode,
-    ftz: bool,
-    daz: bool,
-    tininess: str,
+    cfg: OracleConfig,
     engine_bits: int,
-    engine_flags: object,
-) -> tuple[int, Discrepancy | None]:
-    """The oracle half of :func:`_check`, for precomputed engine results
-    (the batched-backend path computes the engine side in bulk)."""
-    cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
+    engine_flags: int,
+) -> Discrepancy | None:
+    """The oracle half of one differential evaluation, for an engine
+    result computed one case at a time or in bulk; ``None`` means
+    engine == oracle."""
     oracle = oracle_operation(
-        op, cfg, *(SoftFloat(fmt, bits) for bits in operands))
+        op, cfg, *[SoftFloat(fmt, bits) for bits in operands])
     value_ok = engine_bits == oracle.bits
-    flags_ok = engine_flags == oracle.flags
+    flags_ok = engine_flags == oracle.flags.value
     if value_ok and flags_ok:
-        return engine_bits, None
+        return None
     kind = ("both" if not value_ok and not flags_ok
             else "value" if not value_ok else "flags")
-    return engine_bits, Discrepancy(
+    return Discrepancy(
         op=op,
         fmt_name=fmt.name,
         operands=operands,
-        rounding=mode.value,
-        ftz=ftz,
-        daz=daz,
-        tininess=tininess,
+        rounding=cfg.rounding.value,
+        ftz=cfg.ftz,
+        daz=cfg.daz,
+        tininess=cfg.tininess,
         engine_bits=engine_bits,
         oracle_bits=oracle.bits,
-        engine_flags=engine_flags,
+        engine_flags=FPFlag(engine_flags),
         oracle_flags=oracle.flags,
         kind=kind,
     )
@@ -237,8 +190,10 @@ def check_case(
     tininess: str = "before",
 ) -> Discrepancy | None:
     """Run one case differentially; ``None`` means engine == oracle."""
-    _, disc = _check(op, fmt, operands, mode, ftz, daz, tininess)
-    return disc
+    cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
+    engine_bits, engine_flags = _engine_run(op, fmt, operands, mode, ftz, daz)
+    return _check_with_engine(op, fmt, operands, cfg, engine_bits,
+                              engine_flags)
 
 
 def _shrunk(disc: Discrepancy, fmt: FloatFormat) -> Discrepancy:
@@ -587,6 +542,12 @@ def _drive_op_cases(
     clock = time.perf_counter
     observe_latency = latency.observe
     evals_done = 0
+    configs = {
+        (mode, ftz, daz): OracleConfig(rounding=mode, ftz=ftz, daz=daz,
+                                       tininess=tininess)
+        for mode, (ftz, daz) in matrix
+    }
+    native = native and native_supported(op, fmt)
     for pos, (index, first, operands, mode, ftz, daz) in enumerate(stream):
         if first:
             stats.cases += 1
@@ -594,13 +555,12 @@ def _drive_op_cases(
         if instrumented:
             check_started = clock()
         if engine_results is None:
-            engine_bits, disc = _check(
-                op, fmt, operands, mode, ftz, daz, tininess)
+            engine_bits, engine_flags = _engine_run(
+                op, fmt, operands, mode, ftz, daz)
         else:
             engine_bits, engine_flags = engine_results[pos]
-            engine_bits, disc = _check_with_engine(
-                op, fmt, operands, mode, ftz, daz, tininess,
-                engine_bits, engine_flags)
+        disc = _check_with_engine(op, fmt, operands, configs[mode, ftz, daz],
+                                  engine_bits, engine_flags)
         if instrumented:
             observe_latency(clock() - check_started)
             evals_done += 1
@@ -618,8 +578,7 @@ def _drive_op_cases(
                 sink.append(_shrunk(disc, fmt))
         # Native third opinion under the hardware-default env.
         if (native and not ftz and not daz
-                and mode is RoundingMode.NEAREST_EVEN
-                and native_supported(op, fmt)):
+                and mode is RoundingMode.NEAREST_EVEN):
             native_bits = native_result_bits(op, fmt, operands)
             if native_bits is not None:
                 stats.native_evals += 1

@@ -219,9 +219,9 @@ class Handlers:
     # -- batched scalar evaluation ------------------------------------
 
     async def op_eval(self, params: dict[str, Any]) -> dict[str, Any]:
-        from repro.fpenv.rounding import RoundingMode
-        from repro.oracle.runner import FORMATS_BY_NAME, MODE_ALIASES
+        from repro.fpenv.rounding import MODE_ALIASES, RoundingMode
         from repro.softfloat.backend import BACKEND_OP_ARITY
+        from repro.softfloat.formats import FORMATS_BY_NAME
 
         op = str(_require(params, "op"))
         arity = BACKEND_OP_ARITY.get(op)
@@ -274,16 +274,21 @@ class Handlers:
             )
         if lanes == {0}:
             return {"bits": [], "flags": []}
-        columns = []
-        for col in operands:
-            try:
-                columns.append([int(v) for v in col])
-            except (TypeError, ValueError):
-                raise ServiceError(
-                    BAD_REQUEST, "operand lanes must be integers"
-                )
+        # Checked before coalescing: one bad lane must fail only its own
+        # request, never the strangers batched beside it.
+        limit = 1 << fmt.width
+        for column, col in enumerate(operands):
+            for lane, value in enumerate(col):
+                # ``type`` rather than ``isinstance``: JSON true is a bool
+                if type(value) is not int or not 0 <= value < limit:
+                    raise ServiceError(
+                        BAD_REQUEST,
+                        f"operands[{column}][{lane}] = {value!r} is not a"
+                        f" {fmt.name} encoding (an integer in"
+                        f" [0, 2**{fmt.width}))",
+                    )
         key = (op, fmt, mode, ftz, daz, dst_fmt)
-        bits, flags = await self.batcher.submit(key, columns)
+        bits, flags = await self.batcher.submit(key, operands)
         return {"bits": bits, "flags": flags}
 
     # -- engine-backed jobs -------------------------------------------
@@ -299,8 +304,8 @@ class Handlers:
         )
 
     async def oracle_slice(self, params: dict[str, Any]) -> dict[str, Any]:
-        from repro.oracle.runner import FORMATS_BY_NAME
         from repro.softfloat.backend import BACKEND_OP_ARITY
+        from repro.softfloat.formats import FORMATS_BY_NAME
 
         fmt_name = str(_require(params, "format"))
         if fmt_name not in FORMATS_BY_NAME:
@@ -341,8 +346,7 @@ class Handlers:
 
     @staticmethod
     def _mode_value(name: str):
-        from repro.fpenv.rounding import RoundingMode
-        from repro.oracle.runner import MODE_ALIASES
+        from repro.fpenv.rounding import MODE_ALIASES, RoundingMode
 
         mode = MODE_ALIASES.get(str(name))
         if mode is None:

@@ -25,6 +25,7 @@ __all__ = [
     "E5M2",
     "TINY8",
     "STANDARD_FORMATS",
+    "FORMATS_BY_NAME",
 ]
 
 
@@ -41,6 +42,18 @@ class FloatFormat:
         (``p`` in the standard).  ``binary64`` has ``precision=53``.
     name:
         Display name.
+
+    Derived geometry (plain attributes, computed once at construction):
+
+    - ``frac_bits``: width of the trailing significand field, ``p - 1``;
+    - ``width``: total encoding width (sign + exponent + fraction);
+    - ``bias``: exponent bias, ``2**(w-1) - 1``;
+    - ``emax`` / ``emin``: largest and smallest unbiased exponent of a
+      normal number (``emin = 1 - emax``);
+    - ``max_biased_exp``: the all-ones biased exponent (inf/NaN);
+    - ``sig_mask``: bit mask of the trailing significand field;
+    - ``quiet_bit``: the NaN quiet bit, the MSB of the trailing field;
+    - ``hidden_bit``: the implicit leading significand bit, ``2**(p-1)``.
     """
 
     exp_bits: int
@@ -52,56 +65,29 @@ class FloatFormat:
             raise FormatError(f"exponent field needs >= 2 bits, got {self.exp_bits}")
         if self.precision < 2:
             raise FormatError(f"precision needs >= 2 bits, got {self.precision}")
+        frac_bits = self.precision - 1
+        bias = (1 << (self.exp_bits - 1)) - 1
+        # The kernels and the oracle read these millions of times per
+        # sweep.  They must never become dataclass fields: ``repr`` (and
+        # through it every canonical spec and cache key), ``==`` and
+        # ``hash`` see only the three defining fields.
+        self.__dict__.update(
+            frac_bits=frac_bits,
+            width=1 + self.exp_bits + frac_bits,
+            bias=bias,
+            emax=bias,
+            emin=1 - bias,
+            max_biased_exp=(1 << self.exp_bits) - 1,
+            sig_mask=(1 << frac_bits) - 1,
+            quiet_bit=1 << (frac_bits - 1),
+            hidden_bit=1 << frac_bits,
+        )
         if not self.name:
-            object.__setattr__(self, "name", f"E{self.exp_bits}M{self.frac_bits}")
+            object.__setattr__(self, "name", f"E{self.exp_bits}M{frac_bits}")
 
-    # ------------------------------------------------------------------
-    # Derived geometry
-    # ------------------------------------------------------------------
-    @property
-    def frac_bits(self) -> int:
-        """Width of the stored trailing significand field (``p - 1``)."""
-        return self.precision - 1
-
-    @property
-    def width(self) -> int:
-        """Total encoding width in bits (sign + exponent + fraction)."""
-        return 1 + self.exp_bits + self.frac_bits
-
-    @property
-    def bias(self) -> int:
-        """Exponent bias, ``2**(w-1) - 1``."""
-        return (1 << (self.exp_bits - 1)) - 1
-
-    @property
-    def emax(self) -> int:
-        """Largest unbiased exponent of a finite normal number."""
-        return self.bias
-
-    @property
-    def emin(self) -> int:
-        """Smallest unbiased exponent of a normal number (``1 - emax``)."""
-        return 1 - self.bias
-
-    @property
-    def max_biased_exp(self) -> int:
-        """The all-ones biased exponent (reserved for inf/NaN)."""
-        return (1 << self.exp_bits) - 1
-
-    @property
-    def sig_mask(self) -> int:
-        """Bit mask of the trailing significand field."""
-        return (1 << self.frac_bits) - 1
-
-    @property
-    def quiet_bit(self) -> int:
-        """The NaN quiet bit: the MSB of the trailing significand."""
-        return 1 << (self.frac_bits - 1)
-
-    @property
-    def hidden_bit(self) -> int:
-        """The implicit leading significand bit value, ``2**(p-1)``."""
-        return 1 << self.frac_bits
+    def __reduce__(self):
+        # Pickle the defining fields only; geometry is rebuilt on load.
+        return type(self), (self.exp_bits, self.precision, self.name)
 
     # ------------------------------------------------------------------
     # Landmark encodings
@@ -213,3 +199,10 @@ STANDARD_FORMATS: tuple[FloatFormat, ...] = (
     BINARY64,
     BINARY128,
 )
+
+#: Every named format, by its CLI/wire spelling.
+FORMATS_BY_NAME: dict[str, FloatFormat] = {
+    f.name: f
+    for f in (TINY8, E4M3, E5M2, BFLOAT16, BINARY16, BINARY32, BINARY64,
+              BINARY128)
+}

@@ -213,7 +213,7 @@ def entry_witness_outcome(entry: CorpusEntry, *,
     witness is analyzer unsoundness and shows up as ``witnessed``.
     """
     from repro.optsim.parser import parse_expr
-    from repro.oracle import FORMATS_BY_NAME
+    from repro.softfloat.formats import FORMATS_BY_NAME
     from repro.staticfp.safety import predict_pass_safety
     from repro.staticfp.witness import find_witness
 

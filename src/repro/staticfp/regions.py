@@ -41,7 +41,7 @@ from repro.optsim.ast import Binary, BinOp, Const, Expr, Var, expr_variables
 from repro.optsim.machine import MachineConfig
 from repro.softfloat import SoftFloat, next_down, next_up, special_values
 from repro.softfloat.directed import probe_op
-from repro.softfloat.formats import FloatFormat
+from repro.softfloat.formats import FORMATS_BY_NAME, FloatFormat
 from repro.staticfp.analyze import Analysis, analyze, as_abstract
 from repro.staticfp.domain import (
     AbstractValue,
@@ -262,8 +262,6 @@ class BitRegion:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BitRegion":
-        from repro.oracle import FORMATS_BY_NAME
-
         fmt = FORMATS_BY_NAME[data["fmt"]]
         return cls.from_spans(
             fmt,

@@ -39,7 +39,7 @@ from repro.optsim.evaluator import EvalResult, evaluate
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.optsim.pipeline import enabled_passes, optimize
 from repro.softfloat import SoftFloat, format_hex
-from repro.softfloat.formats import FloatFormat
+from repro.softfloat.formats import FORMATS_BY_NAME, FloatFormat
 
 __all__ = [
     "Localization",
@@ -252,8 +252,6 @@ def _config_to_dict(config: MachineConfig) -> dict:
 
 
 def _config_from_dict(data: Mapping) -> MachineConfig:
-    from repro.oracle import FORMATS_BY_NAME
-
     return MachineConfig(
         name=data["name"],
         fmt=FORMATS_BY_NAME[data["fmt"]],

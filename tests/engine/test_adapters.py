@@ -16,8 +16,8 @@ from repro.engine.adapters import (
     run_study_sharded,
     witness_sweep_sharded,
 )
-from repro.oracle import FORMATS_BY_NAME
 from repro.oracle.runner import run_conformance
+from repro.softfloat.formats import FORMATS_BY_NAME
 
 
 def _engine(workers: int, **overrides) -> Engine:
@@ -131,7 +131,7 @@ class TestWitnessSweepAdapter:
     def test_sharded_sweep_matches_serial_witness(self):
         from repro.optsim import exhaustive_sweep, optimize, \
             optimization_level, parse_expr
-        from repro.oracle import FORMATS_BY_NAME as FORMATS
+        from repro.softfloat.formats import FORMATS_BY_NAME as FORMATS
 
         config = optimization_level("-O3").replace(fmt=FORMATS["tiny8"])
         expr = parse_expr("a*b + c")

@@ -290,6 +290,46 @@ class TestBitIdentity:
 
         run(main())
 
+    @pytest.mark.parametrize("bad", [0x10000, 1.5, True, -1, 2**64])
+    def test_op_eval_bad_lane_fails_alone(self, bad):
+        """An operand lane that is not a binary16 encoding gets 400
+        naming its column and lane, and a valid rider sent in the same
+        batch window still gets the scalar backend's bits."""
+        async def main():
+            import numpy as np
+
+            from repro.fpenv.rounding import RoundingMode
+            from repro.softfloat import BINARY16
+            from repro.softfloat.backend import ScalarBackend
+
+            good = [[0x3C00, 0x7BFF, 0x0001], [0x3C00, 0x7BFF, 0x8001]]
+            async with make_service() as service:
+                async with await ServiceClient.open(
+                    "127.0.0.1", service.port
+                ) as client:
+                    rejected, served = await asyncio.gather(
+                        client.call("op.eval", {
+                            "op": "add", "format": "binary16",
+                            "operands": [[0x3C00, bad], [0x3C00, 0x3C00]],
+                        }),
+                        client.call("op.eval", {
+                            "op": "add", "format": "binary16",
+                            "operands": good,
+                        }),
+                    )
+            assert rejected.error_code == 400
+            assert "operands[0][1]" in rejected.error_message
+            assert served.ok
+            direct = ScalarBackend().run_packed(
+                "add", BINARY16,
+                [np.asarray(col, dtype=np.uint64) for col in good],
+                RoundingMode.NEAREST_EVEN, False, False,
+            )
+            assert served.result["bits"] == [int(b) for b in direct.bits]
+            assert served.result["flags"] == [int(f) for f in direct.flags]
+
+        run(main())
+
     def test_oracle_slice_over_wire_equals_direct_call(self):
         async def main():
             engine = Engine(EngineConfig(workers=0, cache_enabled=False))
@@ -304,7 +344,8 @@ class TestBitIdentity:
             import itertools
 
             from repro.fpenv.rounding import RoundingMode
-            from repro.oracle.runner import FORMATS_BY_NAME, run_op_slice
+            from repro.oracle.runner import run_op_slice
+            from repro.softfloat.formats import FORMATS_BY_NAME
 
             matrix = tuple(itertools.product(
                 (RoundingMode.NEAREST_EVEN,), ((False, False),)

@@ -1,5 +1,9 @@
 """FloatFormat geometry and landmark encodings."""
 
+import dataclasses
+import pickle
+import types
+
 import pytest
 
 from repro.errors import FormatError
@@ -121,3 +125,62 @@ class TestLandmarkValues:
 
     def test_tiny_format_is_exhaustible(self):
         assert 1 << TINY8.width == 64
+
+
+class TestDefiningFields:
+    """Derived geometry is cached on each instance, but only the three
+    defining fields may reach ``repr``, ``==``/``hash`` and pickles:
+    ``repr`` feeds canonical task specs and so every engine cache key."""
+
+    def test_fields_repr_eq_hash_pickle(self):
+        assert [f.name for f in dataclasses.fields(FloatFormat)] == [
+            "exp_bits", "precision", "name"]
+        assert repr(BINARY64) == (
+            "FloatFormat(exp_bits=11, precision=53, name='binary64')")
+        assert repr(FloatFormat(4, 6)) == (
+            "FloatFormat(exp_bits=4, precision=6, name='E4M5')")
+        twin = FloatFormat(11, 53, "binary64")
+        assert twin == BINARY64 and hash(twin) == hash(BINARY64)
+        assert FloatFormat(11, 53, "other") != BINARY64
+        for fmt in (TINY8, BINARY16, BFLOAT16, BINARY64, BINARY128):
+            loaded = pickle.loads(pickle.dumps(fmt))
+            assert loaded == fmt and repr(loaded) == repr(fmt)
+            assert (loaded.width, loaded.emin, loaded.sig_mask) == (
+                fmt.width, fmt.emin, fmt.sig_mask)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            BINARY64.frac_bits = 3  # type: ignore[misc]
+
+    def test_golden_sweep_shard_spec_and_cache_key(self, monkeypatch):
+        from repro.engine import cache
+        from repro.engine.adapters import run_conformance_sharded
+
+        monkeypatch.setattr(cache, "machine_fingerprint", lambda: {
+            "code_version": "0", "python": "3", "implementation": "CPython",
+            "platform": "Linux", "machine": "x86_64",
+        })
+
+        class Capture:
+            config = types.SimpleNamespace(workers=2)
+
+            def run(self, job):
+                self.job = job
+
+        engine = Capture()
+        run_conformance_sharded(
+            BINARY64, ["add", "mul", "div", "sqrt", "fma"], engine,
+            budget=5000, seed=1234, env_combos=((False, False), (True, True)),
+            engine_backend="auto",
+        )
+        shard = engine.job.shards[0]
+        assert shard.spec.canonical() == (
+            '{"params":{"budget":5000,"case_hi":125,"case_lo":0,'
+            '"engine_backend":"auto","env_combos":[[false,false],'
+            '[true,true]],"format":"binary64","max_discrepancies":100,'
+            '"modes":["nearest-even","nearest-away","toward-zero",'
+            '"toward-positive","toward-negative"],"native":true,'
+            '"op":"add","seed":1234,"tininess":"before"},'
+            '"task":"oracle.op_slice"}')
+        assert shard.seed == 1939743234230593540
+        assert cache.cache_key(shard.spec.canonical(), shard.seed) == (
+            "c4ea3a5df85e0c23832791f343c3cf01"
+            "d8247180284d306f7b3b3496f45f5ce3")
