@@ -208,8 +208,15 @@ class ResultCache:
             sort_keys=True, separators=(",", ":"), default=str,
         ) + "\n"
         self.disk_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.disk_path, "ab") as handle:
-            offset = handle.tell()
+        with open(self.disk_path, "a+b") as handle:
+            offset = handle.seek(0, os.SEEK_END)
+            if offset:
+                handle.seek(offset - 1)
+                if handle.read(1) != b"\n":
+                    # Close a torn final fragment so this record starts
+                    # on a line of its own.
+                    handle.write(b"\n")
+                    offset += 1
             handle.write(line.encode())
         index[key] = offset
 

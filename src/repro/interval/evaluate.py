@@ -8,14 +8,29 @@ mode the paper's conclusions wish for, applied to whole expressions.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from collections.abc import Mapping
 
 from repro.errors import OptimizationError
 from repro.interval.interval import Interval, IntervalError
-from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
+from repro.optsim.ast import (
+    FMA,
+    Binary,
+    BinOp,
+    Const,
+    Expr,
+    Unary,
+    UnOp,
+    Var,
+    interpret,
+)
 from repro.softfloat.formats import BINARY64, FloatFormat
 
 __all__ = ["interval_evaluate"]
+
+_BINOPS = {BinOp.ADD: operator.add, BinOp.SUB: operator.sub,
+           BinOp.MUL: operator.mul, BinOp.DIV: operator.truediv}
 
 
 def interval_evaluate(
@@ -35,45 +50,41 @@ def interval_evaluate(
         else Interval.from_value(value, fmt)
         for name, value in bindings.items()
     }
-    return _eval(expr, boxed, fmt)
+    return interpret(expr, _IntervalSemantics(boxed, fmt))
 
 
-def _eval(
-    expr: Expr, bindings: Mapping[str, Interval], fmt: FloatFormat
-) -> Interval:
-    if isinstance(expr, Const):
-        return Interval.from_decimal(expr.literal, fmt)
-    if isinstance(expr, Var):
+@dataclasses.dataclass
+class _IntervalSemantics:
+    """Outward-rounded interval arithmetic, in ``fmt``."""
+
+    bindings: Mapping[str, Interval]
+    fmt: FloatFormat
+
+    def const(self, node: Const) -> Interval:
+        return Interval.from_decimal(node.literal, self.fmt)
+
+    def var(self, node: Var) -> Interval:
         try:
-            return bindings[expr.name]
+            return self.bindings[node.name]
         except KeyError:
-            raise OptimizationError(f"unbound variable {expr.name!r}")
-    if isinstance(expr, Unary):
-        operand = _eval(expr.operand, bindings, fmt)
-        if expr.op is UnOp.NEG:
-            return -operand
-        if expr.op is UnOp.ABS:
-            return operand.abs()
-        if expr.op is UnOp.SQRT:
-            return operand.sqrt()
-        raise AssertionError(f"unhandled unary {expr.op}")  # pragma: no cover
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, bindings, fmt)
-        right = _eval(expr.right, bindings, fmt)
-        if expr.op is BinOp.ADD:
-            return left + right
-        if expr.op is BinOp.SUB:
-            return left - right
-        if expr.op is BinOp.MUL:
-            return left * right
-        if expr.op is BinOp.DIV:
-            return left / right
-        raise IntervalError(
-            f"operator {expr.op.value!r} has no interval extension here"
-        )
-    if isinstance(expr, FMA):
-        a = _eval(expr.a, bindings, fmt)
-        b = _eval(expr.b, bindings, fmt)
-        c = _eval(expr.c, bindings, fmt)
+            raise OptimizationError(f"unbound variable {node.name!r}")
+
+    def unary(self, node: Unary, x: Interval) -> Interval:
+        if node.op is UnOp.NEG:
+            return -x
+        if node.op is UnOp.ABS:
+            return x.abs()
+        return x.sqrt()
+
+    def binary(self, node: Binary, left: Interval,
+               right: Interval) -> Interval:
+        fn = _BINOPS.get(node.op)
+        if fn is None:
+            raise IntervalError(
+                f"operator {node.op.value!r} has no interval extension here"
+            )
+        return fn(left, right)
+
+    def fma(self, node: FMA, a: Interval, b: Interval,
+            c: Interval) -> Interval:
         return a * b + c
-    raise OptimizationError(f"cannot evaluate {type(expr).__name__}")

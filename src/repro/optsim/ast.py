@@ -23,8 +23,10 @@ __all__ = [
     "FMA",
     "BinOp",
     "UnOp",
+    "OP_NAMES",
     "expr_variables",
     "expr_size",
+    "interpret",
     "unique_size",
     "walk",
     "walk_unique",
@@ -49,6 +51,11 @@ class UnOp(enum.Enum):
     NEG = "-"
     ABS = "abs"
     SQRT = "sqrt"
+
+
+#: Each operator's op name, the one the softfloat backends, the oracle
+#: and the static analyzer's transfer functions use (``"add"``, …).
+OP_NAMES = {op: op.name.lower() for op in (*BinOp, *UnOp)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,6 +197,73 @@ def walk_unique(expr: Expr) -> Iterator[Expr]:
         seen.add(id(node))
         yield node
         stack.extend(reversed(node.children()))
+
+
+#: ``id(expr) -> (expr, plan)``, holding the expr so its id stays
+#: unique.  Identity, not structural hashing: that is exponential on a
+#: DAG and would merge equal-but-distinct nodes.  Never stored on the
+#: ``Expr`` itself, which is pickled and reaches canonical task specs.
+_PLANS: dict[int, tuple[Expr, tuple]] = {}
+_PLANS_MAX = 256
+
+
+def _plan(expr: Expr) -> tuple[tuple[Expr, type, tuple[int, ...]], ...]:
+    """``(node, type, child positions)`` per distinct node object, in
+    memoized post-order: children left to right, each node at its first
+    occurrence.  Cached in :data:`_PLANS`."""
+    position: dict[int, int] = {}
+    steps = []
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            kids = tuple(position[id(c)] for c in node.children())
+            position[id(node)] = len(steps)
+            steps.append((node, type(node), kids))
+        elif id(node) not in position:
+            position[id(node)] = -1  # expanded, not yet placed
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children()))
+    plan = tuple(steps)
+    if len(_PLANS) >= _PLANS_MAX:
+        _PLANS.clear()
+    _PLANS[id(expr)] = (expr, plan)
+    return plan
+
+
+def interpret(
+    expr: Expr, semantics, values: dict[int, object] | None = None
+) -> object:
+    """Evaluate ``expr`` under ``semantics``; return the root's value.
+
+    ``semantics`` supplies ``const(node)``, ``var(node)``,
+    ``unary(node, x)``, ``binary(node, left, right)`` and
+    ``fma(node, a, b, c)``, each given its children's values.  Each
+    distinct node object is evaluated once, so a DAG costs its distinct
+    nodes, not its occurrences.  ``values``, if given, receives every
+    node's value keyed by ``id(node)``.
+    """
+    entry = _PLANS.get(id(expr))
+    plan = entry[1] if entry is not None else _plan(expr)
+    out: list[object] = []
+    push = out.append
+    for node, kind, kids in plan:
+        if kind is Binary:
+            push(semantics.binary(node, out[kids[0]], out[kids[1]]))
+        elif kind is Var:
+            push(semantics.var(node))
+        elif kind is Const:
+            push(semantics.const(node))
+        elif kind is Unary:
+            push(semantics.unary(node, out[kids[0]]))
+        elif kind is FMA:
+            push(semantics.fma(node, out[kids[0]], out[kids[1]],
+                               out[kids[2]]))
+        else:
+            raise OptimizationError(f"cannot evaluate node {kind.__name__}")
+    if values is not None:
+        values.update(zip((id(step[0]) for step in plan), out))
+    return out[-1]
 
 
 def expr_variables(expr: Expr) -> tuple[str, ...]:

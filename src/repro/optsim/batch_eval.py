@@ -1,9 +1,9 @@
 """Batched expression evaluation over the softfloat backend protocol.
 
-:func:`evaluate_many` is the vectorized twin of
-:func:`repro.optsim.evaluator.evaluate`: one walk of the expression
-tree evaluates *every* candidate binding at once, with each tree node
-computed across all lanes by a :class:`~repro.softfloat.SoftFloatBackend`
+:func:`evaluate_many` answers what :func:`repro.optsim.evaluator.evaluate`
+answers, for *every* candidate binding at once: it runs one
+:func:`repro.optsim.ast.interpret` pass whose semantics computes each
+node across all lanes with a :class:`~repro.softfloat.SoftFloatBackend`
 before the walk moves on.  Per-lane sticky flags accumulate exactly as
 a fresh :class:`~repro.fpenv.FPEnv` would collect them lane by lane —
 flag accumulation is a set union, so node order inside one lane and
@@ -24,35 +24,28 @@ import numpy as np
 
 from repro.errors import OptimizationError
 from repro.fpenv.flags import FPFlag
-from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
-from repro.optsim.evaluator import EvalResult
-from repro.optsim.machine import STRICT, MachineConfig
-from repro.softfloat import (
-    SoftFloat,
-    convert_format,
-    fp_max,
-    fp_min,
-    fp_remainder,
-    parse_softfloat,
+from repro.optsim.ast import (
+    FMA,
+    OP_NAMES,
+    Binary,
+    BinOp,
+    Const,
+    Expr,
+    Unary,
+    UnOp,
+    Var,
+    expr_variables,
+    interpret,
 )
+from repro.optsim.evaluator import KERNELS, EvalResult
+from repro.optsim.machine import STRICT, MachineConfig
+from repro.softfloat import SoftFloat, convert_format, parse_softfloat
 from repro.softfloat.backend import SoftFloatBackend, get_backend
 
 __all__ = ["evaluate_lanes", "evaluate_many"]
 
 #: Binary AST operations carried by the backend protocol.
-_BACKEND_BINOPS = {
-    BinOp.ADD: "add",
-    BinOp.SUB: "sub",
-    BinOp.MUL: "mul",
-    BinOp.DIV: "div",
-}
-
-#: Binary AST operations that always take the scalar lane-by-lane path.
-_SCALAR_BINOPS = {
-    BinOp.REM: fp_remainder,
-    BinOp.MIN: fp_min,
-    BinOp.MAX: fp_max,
-}
+_BACKEND_BINOPS = {BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV}
 
 
 def evaluate_many(
@@ -82,9 +75,9 @@ def evaluate_many(
     if n == 0:
         return []
     fmt = config.fmt
-
-    def var_source(name: str, flags: np.ndarray) -> np.ndarray:
-        out = np.zeros(n, dtype=np.uint64)
+    lanes = {}
+    for name in expr_variables(expr):
+        lane = lanes[name] = np.zeros(n, dtype=np.uint64)
         for i, bindings in enumerate(bindings_list):
             try:
                 value = bindings[name]
@@ -94,10 +87,9 @@ def evaluate_many(
                 env = config.fresh_env()
                 value = convert_format(value, fmt, env)
                 flags[i] |= np.uint8(env.flags.value)
-            out[i] = value.bits
-        return out
+            lane[i] = value.bits
 
-    bits = _eval_lanes(expr, var_source, n, config, backend_obj, flags)
+    bits = interpret(expr, _LaneSemantics(lanes, config, backend_obj, flags))
     return [
         EvalResult(
             value=SoftFloat(fmt, int(bits[i])),
@@ -114,7 +106,7 @@ def evaluate_lanes(
     config: MachineConfig = STRICT,
     backend: SoftFloatBackend | str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bits-level twin of :func:`evaluate_many` for pre-packed lanes.
+    """:func:`evaluate_many` at the bits level, for pre-packed lanes.
 
     ``var_lanes`` maps each variable to a ``uint64`` array of packed
     encodings *already in the config's format* (no per-lane conversion
@@ -126,17 +118,12 @@ def evaluate_lanes(
     sizes = {lane.shape[0] for lane in var_lanes.values()}
     if len(sizes) > 1:
         raise ValueError(f"ragged variable lanes: {sorted(sizes)}")
-    n = sizes.pop() if sizes else 1
-    flags = np.zeros(n, dtype=np.uint8)
-
-    def var_source(name: str, flags: np.ndarray) -> np.ndarray:
-        try:
-            return np.asarray(var_lanes[name], dtype=np.uint64)
-        except KeyError:
-            raise OptimizationError(f"unbound variable {name!r}")
-
-    bits = _eval_lanes(expr, var_source, n, config, get_backend(backend),
-                       flags)
+    flags = np.zeros(sizes.pop() if sizes else 1, dtype=np.uint8)
+    lanes = {name: np.asarray(lane, dtype=np.uint64)
+             for name, lane in var_lanes.items()}
+    bits = interpret(
+        expr, _LaneSemantics(lanes, config, get_backend(backend), flags)
+    )
     return bits, flags
 
 
@@ -178,53 +165,47 @@ def _run_op(
     return _scalar_sweep(_SCALAR_KERNELS[op], config, flags, *operand_lanes)
 
 
-def _eval_lanes(
-    expr: Expr,
-    var_source,
-    n: int,
-    config: MachineConfig,
-    backend: SoftFloatBackend,
-    flags: np.ndarray,
-) -> np.ndarray:
-    """The vectorized mirror of ``evaluator._eval``: packed bits lanes.
+class _LaneSemantics:
+    """Packed-bits lanes for :func:`~repro.optsim.ast.interpret`: each
+    node computed across all lanes before the next, accumulating
+    per-lane sticky flags into ``flags``.  ``lanes`` maps each variable
+    to its ``uint64`` lane array, already in the config's format."""
 
-    ``var_source(name, flags)`` supplies each variable's lane array —
-    how :func:`evaluate_many` (SoftFloat dicts, converting) and
-    :func:`evaluate_lanes` (pre-packed bits) share one walk."""
-    fmt = config.fmt
-    if isinstance(expr, Const):
+    def __init__(self, lanes: Mapping[str, np.ndarray],
+                 config: MachineConfig, backend: SoftFloatBackend,
+                 flags: np.ndarray) -> None:
+        self.lanes = lanes
+        self.config = config
+        self.backend = backend
+        self.flags = flags
+        self.signbit = np.uint64(1 << (config.fmt.width - 1))
+
+    def const(self, node: Const) -> np.ndarray:
         # Compile-time constant conversion: quiet, like the evaluator.
-        value = parse_softfloat(expr.literal, fmt)
-        return np.full(n, value.bits, dtype=np.uint64)
-    if isinstance(expr, Var):
-        return var_source(expr.name, flags)
-    if isinstance(expr, Unary):
-        operand = _eval_lanes(expr.operand, var_source, n, config, backend,
-                              flags)
-        signbit = np.uint64(1 << (fmt.width - 1))
-        if expr.op is UnOp.NEG:
-            return operand ^ signbit
-        if expr.op is UnOp.ABS:
-            return operand & ~signbit
-        if expr.op is UnOp.SQRT:
-            return _run_op("sqrt", config, backend, flags, operand)
-        raise AssertionError(f"unhandled unary op {expr.op}")  # pragma: no cover
-    if isinstance(expr, Binary):
-        left = _eval_lanes(expr.left, var_source, n, config, backend, flags)
-        right = _eval_lanes(expr.right, var_source, n, config, backend,
-                            flags)
-        if expr.op in _BACKEND_BINOPS:
-            return _run_op(
-                _BACKEND_BINOPS[expr.op], config, backend, flags, left, right
-            )
-        if expr.op in _SCALAR_BINOPS:
-            return _scalar_sweep(
-                _SCALAR_BINOPS[expr.op], config, flags, left, right
-            )
-        raise AssertionError(f"unhandled binary op {expr.op}")  # pragma: no cover
-    if isinstance(expr, FMA):
-        a = _eval_lanes(expr.a, var_source, n, config, backend, flags)
-        b = _eval_lanes(expr.b, var_source, n, config, backend, flags)
-        c = _eval_lanes(expr.c, var_source, n, config, backend, flags)
-        return _run_op("fma", config, backend, flags, a, b, c)
-    raise OptimizationError(f"cannot evaluate node {type(expr).__name__}")
+        value = parse_softfloat(node.literal, self.config.fmt)
+        return np.full(self.flags.shape[0], value.bits, dtype=np.uint64)
+
+    def var(self, node: Var) -> np.ndarray:
+        try:
+            return self.lanes[node.name]
+        except KeyError:
+            raise OptimizationError(f"unbound variable {node.name!r}")
+
+    def unary(self, node: Unary, x: np.ndarray) -> np.ndarray:
+        if node.op is UnOp.NEG:
+            return x ^ self.signbit
+        if node.op is UnOp.ABS:
+            return x & ~self.signbit
+        return _run_op("sqrt", self.config, self.backend, self.flags, x)
+
+    def binary(self, node: Binary, left: np.ndarray,
+               right: np.ndarray) -> np.ndarray:
+        op = OP_NAMES[node.op]
+        if node.op in _BACKEND_BINOPS:
+            return _run_op(op, self.config, self.backend, self.flags, left,
+                           right)
+        return _scalar_sweep(KERNELS[op], self.config, self.flags, left, right)
+
+    def fma(self, node: FMA, a: np.ndarray, b: np.ndarray,
+            c: np.ndarray) -> np.ndarray:
+        return _run_op("fma", self.config, self.backend, self.flags, a, b, c)

@@ -1,10 +1,11 @@
 """Expression evaluation under a machine configuration.
 
-:func:`evaluate` interprets an expression tree with the softfloat engine
-in the config's format, rounding mode, and FTZ/DAZ setting, collecting
-the sticky exception flags the run raises.  :func:`evaluate_strict` is
-the reference semantics every compliance question compares against:
-strict IEEE, no tree transformations.
+:func:`evaluate` runs an expression through
+:func:`repro.optsim.ast.interpret` with :class:`ScalarSemantics`: the
+softfloat engine in the config's format, rounding mode, and FTZ/DAZ
+setting, collecting the sticky exception flags the run raises.
+:func:`evaluate_strict` is the reference semantics every compliance
+question compares against: strict IEEE, no tree transformations.
 
 Note the separation of concerns: *this module never rewrites the tree* —
 compiler transformations live in :mod:`repro.optsim.passes` and are
@@ -19,10 +20,21 @@ from collections.abc import Mapping
 from repro.errors import OptimizationError
 from repro.fpenv.env import FPEnv
 from repro.fpenv.flags import FPFlag
-from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
+from repro.optsim.ast import (
+    FMA,
+    OP_NAMES,
+    Binary,
+    Const,
+    Expr,
+    Unary,
+    UnOp,
+    Var,
+    interpret,
+)
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import (
     SoftFloat,
+    convert_format,
     fp_add,
     fp_div,
     fp_fma,
@@ -34,8 +46,25 @@ from repro.softfloat import (
     fp_sub,
     parse_softfloat,
 )
+from repro.softfloat.formats import FloatFormat
 
-__all__ = ["EvalResult", "evaluate", "evaluate_strict", "bind"]
+__all__ = ["KERNELS", "EvalResult", "ScalarSemantics", "evaluate",
+           "evaluate_strict", "bind"]
+
+#: The softfloat kernel behind each rounding step, by op name: the
+#: binary operators, ``sqrt``, ``fma`` and the ``convert`` of a load.
+KERNELS = {
+    "add": fp_add,
+    "sub": fp_sub,
+    "mul": fp_mul,
+    "div": fp_div,
+    "rem": fp_remainder,
+    "min": fp_min,
+    "max": fp_max,
+    "sqrt": fp_sqrt,
+    "fma": fp_fma,
+    "convert": convert_format,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +113,7 @@ def evaluate(
     *ignored* in favor of the environment's).
     """
     local_env = env if env is not None else config.fresh_env()
-    value = _eval(expr, bindings, config, local_env)
+    value = interpret(expr, ScalarSemantics(bindings, config.fmt, local_env))
     return EvalResult(value=value, flags=local_env.flags, config=config)
 
 
@@ -97,57 +126,53 @@ def evaluate_strict(
     return evaluate(expr, bindings, config)
 
 
-def _eval(
-    expr: Expr,
-    bindings: Mapping[str, SoftFloat],
-    config: MachineConfig,
-    env: FPEnv,
-) -> SoftFloat:
-    if isinstance(expr, Const):
+@dataclasses.dataclass(slots=True)
+class ScalarSemantics:
+    """:func:`evaluate`'s semantics for :func:`~repro.optsim.ast.interpret`:
+    softfloat kernels in ``fmt``, raising flags into one shared ``env``.
+
+    Every rounding step goes through :meth:`apply`, so a variant that
+    rounds differently (the per-node flag capture, the exact oracle)
+    overrides one method.
+    """
+
+    bindings: Mapping[str, SoftFloat]
+    fmt: FloatFormat
+    env: FPEnv | None
+
+    def apply(self, node: Expr, op: str, *args: object) -> SoftFloat:
+        """Run ``op``'s kernel on ``args`` for ``node``."""
+        return KERNELS[op](*args, self.env)
+
+    def const(self, node: Const) -> SoftFloat:
         # Literals are rounded into the destination format quietly:
         # constant conversion happens at compile time, so its inexactness
         # is not a runtime exception (itself a documented subtlety).
-        return parse_softfloat(expr.literal, config.fmt)
-    if isinstance(expr, Var):
-        try:
-            value = bindings[expr.name]
-        except KeyError:
-            raise OptimizationError(f"unbound variable {expr.name!r}")
-        if value.fmt != config.fmt:
-            from repro.softfloat import convert_format
+        return parse_softfloat(node.literal, self.fmt)
 
-            value = convert_format(value, config.fmt, env)
+    def var(self, node: Var) -> SoftFloat:
+        try:
+            value = self.bindings[node.name]
+        except KeyError:
+            raise OptimizationError(f"unbound variable {node.name!r}")
+        # Identity first: the dataclass ``!=`` on formats is a Python-level
+        # call, and this runs on every variable load.
+        if value.fmt is not self.fmt and value.fmt != self.fmt:
+            # A load into the destination register width rounds.
+            value = self.apply(node, "convert", value, self.fmt)
         return value
-    if isinstance(expr, Unary):
-        operand = _eval(expr.operand, bindings, config, env)
-        if expr.op is UnOp.NEG:
-            return -operand
-        if expr.op is UnOp.ABS:
-            return abs(operand)
-        if expr.op is UnOp.SQRT:
-            return fp_sqrt(operand, env)
-        raise AssertionError(f"unhandled unary op {expr.op}")  # pragma: no cover
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, bindings, config, env)
-        right = _eval(expr.right, bindings, config, env)
-        if expr.op is BinOp.ADD:
-            return fp_add(left, right, env)
-        if expr.op is BinOp.SUB:
-            return fp_sub(left, right, env)
-        if expr.op is BinOp.MUL:
-            return fp_mul(left, right, env)
-        if expr.op is BinOp.DIV:
-            return fp_div(left, right, env)
-        if expr.op is BinOp.REM:
-            return fp_remainder(left, right, env)
-        if expr.op is BinOp.MIN:
-            return fp_min(left, right, env)
-        if expr.op is BinOp.MAX:
-            return fp_max(left, right, env)
-        raise AssertionError(f"unhandled binary op {expr.op}")  # pragma: no cover
-    if isinstance(expr, FMA):
-        a = _eval(expr.a, bindings, config, env)
-        b = _eval(expr.b, bindings, config, env)
-        c = _eval(expr.c, bindings, config, env)
-        return fp_fma(a, b, c, env)
-    raise OptimizationError(f"cannot evaluate node {type(expr).__name__}")
+
+    def unary(self, node: Unary, x: SoftFloat) -> SoftFloat:
+        if node.op is UnOp.NEG:
+            return -x
+        if node.op is UnOp.ABS:
+            return abs(x)
+        return self.apply(node, "sqrt", x)
+
+    def binary(self, node: Binary, left: SoftFloat,
+               right: SoftFloat) -> SoftFloat:
+        return self.apply(node, OP_NAMES[node.op], left, right)
+
+    def fma(self, node: FMA, a: SoftFloat, b: SoftFloat,
+            c: SoftFloat) -> SoftFloat:
+        return self.apply(node, "fma", a, b, c)

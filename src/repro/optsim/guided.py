@@ -32,34 +32,11 @@ import dataclasses
 import random
 from collections.abc import Mapping, Sequence
 
-from repro.errors import OptimizationError
 from repro.fpenv.flags import FPFlag
-from repro.optsim.ast import (
-    FMA,
-    Binary,
-    BinOp,
-    Const,
-    Expr,
-    Unary,
-    UnOp,
-    Var,
-    expr_variables,
-)
+from repro.optsim.ast import Expr, expr_variables, interpret
+from repro.optsim.evaluator import KERNELS, ScalarSemantics
 from repro.optsim.machine import STRICT, MachineConfig
-from repro.softfloat import (
-    SoftFloat,
-    convert_format,
-    fp_add,
-    fp_div,
-    fp_fma,
-    fp_max,
-    fp_min,
-    fp_mul,
-    fp_remainder,
-    fp_sqrt,
-    fp_sub,
-    parse_softfloat,
-)
+from repro.softfloat import SoftFloat
 from repro.softfloat.formats import FORMATS_BY_NAME
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import single_flags
@@ -79,15 +56,26 @@ _EVENT_PREFIX = "witness"
 # ----------------------------------------------------------------------
 # Per-node flag capture
 # ----------------------------------------------------------------------
-_BINARY_FNS = {
-    BinOp.ADD: fp_add,
-    BinOp.SUB: fp_sub,
-    BinOp.MUL: fp_mul,
-    BinOp.DIV: fp_div,
-    BinOp.REM: fp_remainder,
-    BinOp.MIN: fp_min,
-    BinOp.MAX: fp_max,
-}
+class _CaptureSemantics(ScalarSemantics):
+    """Scalar semantics that runs every rounding step in a fresh
+    environment and calls ``emit(node, flags)`` with that node's own
+    flags; ``total`` collects their sticky union."""
+
+    __slots__ = ("config", "emit", "total")
+
+    def __init__(self, bindings: Mapping[str, SoftFloat],
+                 config: MachineConfig, emit) -> None:
+        super().__init__(bindings, config.fmt, None)
+        self.config = config
+        self.emit = emit
+        self.total = FPFlag.NONE
+
+    def apply(self, node: Expr, op: str, *args: object) -> SoftFloat:
+        env = self.config.fresh_env()
+        result = KERNELS[op](*args, env)
+        self.total |= env.flags
+        self.emit(node, env.flags)
+        return result
 
 
 def _eval_capture(
@@ -100,50 +88,8 @@ def _eval_capture(
     every operation in a fresh environment, calling ``emit(node,
     flags)`` with each node's own raised flags.  The returned sticky
     union is bit-identical to the plain evaluator's."""
-    total = FPFlag.NONE
-
-    def run(node: Expr) -> SoftFloat:
-        nonlocal total
-        if isinstance(node, Const):
-            return parse_softfloat(node.literal, config.fmt)
-        if isinstance(node, Var):
-            try:
-                value = bindings[node.name]
-            except KeyError:
-                raise OptimizationError(f"unbound variable {node.name!r}")
-            if value.fmt != config.fmt:
-                env = config.fresh_env()
-                value = convert_format(value, config.fmt, env)
-                total |= env.flags
-                emit(node, env.flags)
-            return value
-        if isinstance(node, Unary):
-            operand = run(node.operand)
-            if node.op is UnOp.NEG:
-                return -operand
-            if node.op is UnOp.ABS:
-                return abs(operand)
-            env = config.fresh_env()
-            result = fp_sqrt(operand, env)
-        elif isinstance(node, Binary):
-            left = run(node.left)
-            right = run(node.right)
-            env = config.fresh_env()
-            result = _BINARY_FNS[node.op](left, right, env)
-        elif isinstance(node, FMA):
-            a, b, c = run(node.a), run(node.b), run(node.c)
-            env = config.fresh_env()
-            result = fp_fma(a, b, c, env)
-        else:
-            raise OptimizationError(
-                f"cannot evaluate node {type(node).__name__}"
-            )
-        total |= env.flags
-        emit(node, env.flags)
-        return result
-
-    value = run(expr)
-    return value, total
+    semantics = _CaptureSemantics(bindings, config, emit)
+    return interpret(expr, semantics), semantics.total
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Oracle evaluation of optsim expression trees.
 
-:func:`oracle_evaluate` interprets an expression the way
-:func:`repro.optsim.evaluator.evaluate` does, but computes every
-``+ - * / sqrt fma`` node through the exact-rounding oracle instead of
-the softfloat engine, accumulating the oracle's flag sets.  Compliance
-verdicts can then be *cross-validated*: the strict-IEEE side of a
+:func:`oracle_evaluate` runs an expression through
+:func:`repro.optsim.ast.interpret` with the scalar evaluator's
+semantics, except that every ``+ - * / sqrt fma`` node is computed by
+the exact-rounding oracle instead of the softfloat engine, accumulating
+the oracle's flag sets.  Compliance verdicts can then be
+*cross-validated*: the strict-IEEE side of a
 :class:`~repro.optsim.compliance.DivergenceReport` is recomputed
 against exact rounding, so a verdict can no longer be an artifact of a
 shared engine bug.
@@ -19,25 +20,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.errors import OptimizationError
-from repro.fpenv.env import FPEnv
 from repro.fpenv.flags import FPFlag
 from repro.oracle.exact import OracleConfig, oracle_operation
-from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
+from repro.optsim.ast import Expr, interpret
+from repro.optsim.evaluator import ScalarSemantics
 from repro.optsim.machine import STRICT, MachineConfig
-from repro.softfloat import (
-    SoftFloat,
-    convert_format,
-    fp_max,
-    fp_min,
-    fp_remainder,
-    parse_softfloat,
-)
+from repro.softfloat import SoftFloat
 
 __all__ = ["oracle_evaluate", "OracleEvalResult"]
 
-_BINOP_NAMES = {BinOp.ADD: "add", BinOp.SUB: "sub",
-                BinOp.MUL: "mul", BinOp.DIV: "div"}
+#: The ops the oracle rounds.  Loads and ``min``/``max``/``%`` stay on
+#: the engine: they have no rounding step to verify.
+_ORACLE_OPS = frozenset({"add", "sub", "mul", "div", "sqrt", "fma"})
 
 
 class OracleEvalResult:
@@ -56,63 +50,26 @@ def oracle_evaluate(
     config: MachineConfig = STRICT,
 ) -> OracleEvalResult:
     """Evaluate ``expr`` with every rounding performed by the oracle."""
-    cfg = OracleConfig(rounding=config.rounding, ftz=config.ftz,
-                       daz=config.daz)
-    env = config.fresh_env()  # flag accumulator (and engine fallback env)
-    value = _eval(expr, bindings, config, cfg, env)
-    return OracleEvalResult(value, env.flags)
+    semantics = _OracleSemantics(bindings, config)
+    return OracleEvalResult(interpret(expr, semantics), semantics.env.flags)
 
 
-def _oracle_node(
-    op: str, cfg: OracleConfig, env: FPEnv, *operands: SoftFloat
-) -> SoftFloat:
-    result = oracle_operation(op, cfg, *operands)
-    env.raise_flags(result.flags, op)
-    return result.value(operands[0].fmt)
+class _OracleSemantics(ScalarSemantics):
+    """Scalar semantics with every ``+ - * / sqrt fma`` rounded by the
+    oracle, its flags raised into the same environment as the engine's.
+    """
 
+    __slots__ = ("cfg",)
 
-def _eval(
-    expr: Expr,
-    bindings: Mapping[str, SoftFloat],
-    config: MachineConfig,
-    cfg: OracleConfig,
-    env: FPEnv,
-) -> SoftFloat:
-    if isinstance(expr, Const):
-        return parse_softfloat(expr.literal, config.fmt)
-    if isinstance(expr, Var):
-        try:
-            value = bindings[expr.name]
-        except KeyError:
-            raise OptimizationError(f"unbound variable {expr.name!r}")
-        if value.fmt != config.fmt:
-            value = convert_format(value, config.fmt, env)
-        return value
-    if isinstance(expr, Unary):
-        operand = _eval(expr.operand, bindings, config, cfg, env)
-        if expr.op is UnOp.NEG:
-            return -operand
-        if expr.op is UnOp.ABS:
-            return abs(operand)
-        if expr.op is UnOp.SQRT:
-            return _oracle_node("sqrt", cfg, env, operand)
-        raise AssertionError(f"unhandled unary op {expr.op}")
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, bindings, config, cfg, env)
-        right = _eval(expr.right, bindings, config, cfg, env)
-        name = _BINOP_NAMES.get(expr.op)
-        if name is not None:
-            return _oracle_node(name, cfg, env, left, right)
-        if expr.op is BinOp.REM:
-            return fp_remainder(left, right, env)
-        if expr.op is BinOp.MIN:
-            return fp_min(left, right, env)
-        if expr.op is BinOp.MAX:
-            return fp_max(left, right, env)
-        raise AssertionError(f"unhandled binary op {expr.op}")
-    if isinstance(expr, FMA):
-        a = _eval(expr.a, bindings, config, cfg, env)
-        b = _eval(expr.b, bindings, config, cfg, env)
-        c = _eval(expr.c, bindings, config, cfg, env)
-        return _oracle_node("fma", cfg, env, a, b, c)
-    raise OptimizationError(f"cannot evaluate node {type(expr).__name__}")
+    def __init__(self, bindings: Mapping[str, SoftFloat],
+                 config: MachineConfig) -> None:
+        super().__init__(bindings, config.fmt, config.fresh_env())
+        self.cfg = OracleConfig(rounding=config.rounding, ftz=config.ftz,
+                                daz=config.daz)
+
+    def apply(self, node: Expr, op: str, *args: object) -> SoftFloat:
+        if op not in _ORACLE_OPS:
+            return super().apply(node, op, *args)
+        result = oracle_operation(op, self.cfg, *args)
+        self.env.raise_flags(result.flags, op)
+        return result.value(self.fmt)

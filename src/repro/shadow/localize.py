@@ -14,11 +14,16 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from repro.optsim.ast import Const, Expr, Var, walk
-from repro.optsim.evaluator import evaluate
+from repro.optsim.ast import Const, Expr, Var, interpret, walk_unique
+from repro.optsim.evaluator import ScalarSemantics
 from repro.optsim.machine import STRICT, MachineConfig
-from repro.shadow.shadow import WIDE_FORMAT, ulp_distance
-from repro.softfloat import SoftFloat, convert_format, sf
+from repro.shadow.shadow import (
+    WIDE_FORMAT,
+    _wide_evaluate,
+    _working_bindings,
+    ulp_distance,
+)
+from repro.softfloat import SoftFloat
 
 __all__ = ["NodeError", "localize_errors"]
 
@@ -45,27 +50,24 @@ def localize_errors(
 ) -> list[NodeError]:
     """Per-node accuracy report, worst first.
 
-    Every non-leaf node is evaluated both in the working format and in
-    the wide shadow format; the ULP distance of the working value from
-    the shadow value of the *same subtree* is the node's accumulated
-    error.  The root's entry equals the full shadow comparison.
+    One pass evaluates every node in the working format and one in the
+    wide shadow format; the ULP distance of each non-leaf node's
+    working value from its shadow value is the node's accumulated
+    error.  The root's entry equals the full shadow comparison.  A
+    node object shared by several parents is reported once.
     """
-    working_bindings = {
-        name: sf(value, config.fmt) if not isinstance(value, SoftFloat)
-        else value
-        for name, value in bindings.items()
-    }
-    wide_config = STRICT.replace(name="shadow-wide", fmt=WIDE_FORMAT)
-    wide_bindings = {
-        name: convert_format(value, WIDE_FORMAT)
-        for name, value in working_bindings.items()
-    }
+    working_bindings = _working_bindings(bindings, config.fmt)
+    working_values: dict[int, SoftFloat] = {}
+    shadow_values: dict[int, SoftFloat] = {}
+    interpret(expr, ScalarSemantics(working_bindings, config.fmt,
+                                    config.fresh_env()), working_values)
+    _wide_evaluate(expr, working_bindings, WIDE_FORMAT, shadow_values)
     reports = []
-    for node in walk(expr):
+    for node in walk_unique(expr):
         if isinstance(node, (Const, Var)):
             continue
-        working = evaluate(node, working_bindings, config).value
-        shadow = evaluate(node, wide_bindings, wide_config).value
+        working = working_values[id(node)]
+        shadow = shadow_values[id(node)]
         if working.is_finite and shadow.is_finite:
             exact = shadow.to_fraction()
             ulps = ulp_distance(working, exact)

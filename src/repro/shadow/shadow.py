@@ -13,13 +13,26 @@ error and ULPs.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from fractions import Fraction
 
-from repro.optsim.ast import Expr, Unary, UnOp, walk
-from repro.optsim.evaluator import evaluate
+from repro.errors import ParseError
+from repro.optsim.ast import (
+    FMA,
+    Binary,
+    BinOp,
+    Const,
+    Expr,
+    Unary,
+    UnOp,
+    Var,
+    interpret,
+)
+from repro.optsim.evaluator import ScalarSemantics, evaluate
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import SoftFloat, convert_format, sf
-from repro.softfloat.formats import BINARY64, FloatFormat
+from repro.softfloat.formats import FloatFormat
+from repro.softfloat.parse import _parse_exact
 
 __all__ = ["ShadowResult", "shadow_evaluate", "WIDE_FORMAT", "ulp_distance"]
 
@@ -79,67 +92,75 @@ class ShadowResult:
         )
 
 
-def _has_sqrt(expr: Expr) -> bool:
-    return any(
-        isinstance(node, Unary) and node.op is UnOp.SQRT for node in walk(expr)
-    )
+_EXACT_BINOPS = {BinOp.ADD: operator.add, BinOp.SUB: operator.sub,
+                 BinOp.MUL: operator.mul, BinOp.DIV: operator.truediv,
+                 BinOp.MIN: min, BinOp.MAX: max}
 
 
-def _exact_evaluate(expr: Expr, bindings: dict[str, SoftFloat]) -> Fraction | None:
-    """Exact rational evaluation; None when NaN/inf arises or the tree
-    contains sqrt."""
-    from repro.optsim.ast import FMA, Binary, BinOp, Const, Var
-    from repro.errors import ParseError
-    from repro.softfloat.parse import _parse_exact
+@dataclasses.dataclass
+class _ExactSemantics:
+    """Exact rational arithmetic; ``None`` wherever a NaN or infinity
+    arises, and for sqrt (not rational in general) and ``%`` (defined,
+    but rarely useful exactly here).  ``None`` propagates to the root.
+    """
 
-    def go(node: Expr) -> Fraction | None:
-        if isinstance(node, Const):
-            try:
-                return _parse_exact(node.literal)
-            except ParseError:
-                return None  # inf/nan literal
-        if isinstance(node, Var):
-            value = bindings[node.name]
-            if not value.is_finite:
-                return None
-            return value.to_fraction()
-        if isinstance(node, Unary):
-            inner = go(node.operand)
-            if inner is None:
-                return None
-            if node.op is UnOp.NEG:
-                return -inner
-            if node.op is UnOp.ABS:
-                return abs(inner)
-            return None  # sqrt: not rational in general
-        if isinstance(node, Binary):
-            left, right = go(node.left), go(node.right)
-            if left is None or right is None:
-                return None
-            if node.op is BinOp.ADD:
-                return left + right
-            if node.op is BinOp.SUB:
-                return left - right
-            if node.op is BinOp.MUL:
-                return left * right
-            if node.op is BinOp.DIV:
-                return left / right if right != 0 else None
-            if node.op is BinOp.MIN:
-                return min(left, right)
-            if node.op is BinOp.MAX:
-                return max(left, right)
-            return None  # REM: defined, but exact rarely useful here
-        if isinstance(node, FMA):
-            a, b, c = go(node.a), go(node.b), go(node.c)
-            if a is None or b is None or c is None:
-                return None
-            return a * b + c
-        raise TypeError(f"unknown node {type(node).__name__}")
+    bindings: dict[str, SoftFloat]
 
-    try:
-        return go(expr)
-    except ZeroDivisionError:  # pragma: no cover - guarded above
-        return None
+    def const(self, node: Const) -> Fraction | None:
+        try:
+            return _parse_exact(node.literal)
+        except ParseError:
+            return None  # inf/nan literal
+
+    def var(self, node: Var) -> Fraction | None:
+        value = self.bindings[node.name]
+        return value.to_fraction() if value.is_finite else None
+
+    def unary(self, node: Unary, x: Fraction | None) -> Fraction | None:
+        if x is None or node.op is UnOp.SQRT:
+            return None
+        return -x if node.op is UnOp.NEG else abs(x)
+
+    def binary(self, node: Binary, left: Fraction | None,
+               right: Fraction | None) -> Fraction | None:
+        fn = _EXACT_BINOPS.get(node.op)
+        if left is None or right is None or fn is None:
+            return None
+        if node.op is BinOp.DIV and right == 0:
+            return None
+        return fn(left, right)
+
+    def fma(self, node: FMA, a: Fraction | None, b: Fraction | None,
+            c: Fraction | None) -> Fraction | None:
+        if a is None or b is None or c is None:
+            return None
+        return a * b + c
+
+
+def _working_bindings(
+    bindings: dict[str, object], fmt: FloatFormat
+) -> dict[str, SoftFloat]:
+    """``bindings`` with plain numbers rounded into ``fmt``."""
+    return {
+        name: value if isinstance(value, SoftFloat) else sf(value, fmt)
+        for name, value in bindings.items()
+    }
+
+
+def _wide_evaluate(
+    expr: Expr,
+    working_bindings: dict[str, SoftFloat],
+    fmt: FloatFormat,
+    values: dict[int, SoftFloat] | None = None,
+) -> SoftFloat:
+    """Strict IEEE evaluation in the wide ``fmt`` from the working
+    inputs; ``values`` receives every node's value."""
+    wide_bindings = {
+        name: convert_format(value, fmt)
+        for name, value in working_bindings.items()
+    }
+    semantics = ScalarSemantics(wide_bindings, fmt, STRICT.fresh_env())
+    return interpret(expr, semantics, values)
 
 
 def shadow_evaluate(
@@ -157,23 +178,14 @@ def shadow_evaluate(
     inputs the working run saw — shadow execution diagnoses the
     computation, not the input conversion).
     """
-    working_bindings = {
-        name: sf(value, config.fmt) if not isinstance(value, SoftFloat)
-        else value
-        for name, value in bindings.items()
-    }
+    working_bindings = _working_bindings(bindings, config.fmt)
     working = evaluate(expr, working_bindings, config).value
 
-    exact = None if _has_sqrt(expr) else _exact_evaluate(expr, working_bindings)
+    exact = interpret(expr, _ExactSemantics(working_bindings))
     if exact is not None:
         reference = sf(exact, reference_fmt)
     else:
-        wide_config = STRICT.replace(name="shadow-wide", fmt=reference_fmt)
-        wide_bindings = {
-            name: convert_format(value, reference_fmt)
-            for name, value in working_bindings.items()
-        }
-        reference = evaluate(expr, wide_bindings, wide_config).value
+        reference = _wide_evaluate(expr, working_bindings, reference_fmt)
 
     if working.is_nan or reference.is_nan or working.is_inf or reference.is_inf:
         return ShadowResult(

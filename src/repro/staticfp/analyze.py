@@ -10,9 +10,10 @@
 - the condition-number domain annotates additive nodes with
   catastrophic-cancellation and absorption possibilities.
 
-Traversal uses :func:`repro.optsim.ast.walk_unique`, so a subtree
-shared between several parents (a DAG produced by the rewrite passes)
-is analyzed — and later diagnosed — exactly once.
+The domains are a semantics for :func:`repro.optsim.ast.interpret`,
+which evaluates each distinct node object once, so a subtree shared
+between several parents (a DAG produced by the rewrite passes) is
+analyzed — and later diagnosed — exactly once.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from repro.errors import OptimizationError
 from repro.fpenv.flags import FPFlag, flag_names
 from repro.optsim.ast import (
     FMA,
+    OP_NAMES,
     Binary,
     BinOp,
     Const,
     Expr,
     Unary,
-    UnOp,
     Var,
+    interpret,
     walk_unique,
 )
 from repro.optsim.machine import STRICT, MachineConfig
@@ -54,18 +56,6 @@ __all__ = [
     "analyze",
     "as_abstract",
 ]
-
-_BINOP_NAMES = {
-    BinOp.ADD: "add",
-    BinOp.SUB: "sub",
-    BinOp.MUL: "mul",
-    BinOp.DIV: "div",
-    BinOp.REM: "rem",
-    BinOp.MIN: "min",
-    BinOp.MAX: "max",
-}
-_UNOP_NAMES = {UnOp.NEG: "neg", UnOp.ABS: "abs", UnOp.SQRT: "sqrt"}
-
 
 @dataclasses.dataclass(frozen=True)
 class CancellationInfo:
@@ -210,11 +200,21 @@ def analyze(
         name: as_abstract(value, ctx.fmt)
         for name, value in (bindings or {}).items()
     }
+    default = AbstractValue.top(ctx.fmt, nan=assume_nan_inputs)
     with telemetry.tracer.span(
         "staticfp.analyze", expr=str(expr), config=config.name
     ) as span:
-        analysis = _run(expr, abstract_bindings, config, ctx,
-                        assume_nan_inputs)
+        facts: dict[int, NodeFact] = {}
+        semantics = _AbstractSemantics(abstract_bindings, ctx, default)
+        interpret(expr, semantics, facts)
+        analysis = Analysis(
+            expr=expr,
+            config=config,
+            context=ctx,
+            order=tuple(walk_unique(expr)),
+            _facts=facts,
+            bindings=abstract_bindings,
+        )
         span.set("nodes", len(analysis.order))
         telemetry.metrics.counter(
             "staticfp.nodes_analyzed_total", config=config.name
@@ -222,75 +222,54 @@ def analyze(
         return analysis
 
 
-def _run(
-    expr: Expr,
-    bindings: Mapping[str, AbstractValue],
-    config: MachineConfig,
-    ctx: AnalysisContext,
-    assume_nan_inputs: bool,
-) -> Analysis:
-    default = AbstractValue.top(ctx.fmt, nan=assume_nan_inputs)
-    facts: dict[int, NodeFact] = {}
+@dataclasses.dataclass
+class _AbstractSemantics:
+    """The three domains as :func:`~repro.optsim.ast.interpret`
+    semantics: each node's value is its :class:`NodeFact`."""
 
-    def visit(node: Expr) -> NodeFact:
-        known = facts.get(id(node))
-        if known is not None:
-            return known
-        cancellation = None
-        absorption = None
-        if isinstance(node, Const):
-            op = "const"
-            result = transfer_literal(node.literal, ctx.fmt)
-        elif isinstance(node, Var):
-            op = "var"
-            value = bindings.get(node.name, default)
-            result = TransferResult(value, FPFlag.NONE, FPFlag.NONE)
-        elif isinstance(node, Unary):
-            op = _UNOP_NAMES[node.op]
-            operand = visit(node.operand).value
-            result = transfer(op, (operand,), ctx)
-        elif isinstance(node, Binary):
-            op = _BINOP_NAMES[node.op]
-            left = visit(node.left).value
-            right = visit(node.right).value
-            result = transfer(op, (left, right), ctx)
-            if node.op in (BinOp.ADD, BinOp.SUB):
-                cancellation = _cancellation_info(
-                    left, right, subtract=node.op is BinOp.SUB
-                )
-                absorption = _absorption_info(left, right, ctx.fmt)
-        elif isinstance(node, FMA):
-            op = "fma"
-            a = visit(node.a).value
-            b = visit(node.b).value
-            c = visit(node.c).value
-            result = transfer(op, (a, b, c), ctx)
-        else:  # pragma: no cover - exhaustive over the IR
-            raise OptimizationError(
-                f"cannot analyze node {type(node).__name__}"
-            )
-        fact = NodeFact(
-            node=node,
-            op=op,
-            value=result.value,
-            may_flags=result.may,
-            must_flags=result.must,
-            cancellation=cancellation,
-            absorption=absorption,
+    bindings: Mapping[str, AbstractValue]
+    ctx: AnalysisContext
+    default: AbstractValue  # an unbound variable's value
+
+    def const(self, node: Const) -> NodeFact:
+        return _fact(node, "const", transfer_literal(node.literal,
+                                                     self.ctx.fmt))
+
+    def var(self, node: Var) -> NodeFact:
+        value = self.bindings.get(node.name, self.default)
+        return _fact(node, "var",
+                     TransferResult(value, FPFlag.NONE, FPFlag.NONE))
+
+    def unary(self, node: Unary, x: NodeFact) -> NodeFact:
+        op = OP_NAMES[node.op]
+        return _fact(node, op, transfer(op, (x.value,), self.ctx))
+
+    def binary(self, node: Binary, left: NodeFact,
+               right: NodeFact) -> NodeFact:
+        op = OP_NAMES[node.op]
+        lhs, rhs = left.value, right.value
+        result = transfer(op, (lhs, rhs), self.ctx)
+        if node.op not in (BinOp.ADD, BinOp.SUB):
+            return _fact(node, op, result)
+        return _fact(
+            node, op, result,
+            cancellation=_cancellation_info(
+                lhs, rhs, subtract=node.op is BinOp.SUB
+            ),
+            absorption=_absorption_info(lhs, rhs, self.ctx.fmt),
         )
-        facts[id(node)] = fact
-        return fact
 
-    visit(expr)
-    order = tuple(walk_unique(expr))
-    return Analysis(
-        expr=expr,
-        config=config,
-        context=ctx,
-        order=order,
-        _facts=facts,
-        bindings=bindings,
-    )
+    def fma(self, node: FMA, a: NodeFact, b: NodeFact,
+            c: NodeFact) -> NodeFact:
+        return _fact(node, "fma",
+                     transfer("fma", (a.value, b.value, c.value), self.ctx))
+
+
+def _fact(node: Expr, op: str, result: TransferResult,
+          cancellation: CancellationInfo | None = None,
+          absorption: AbsorptionInfo | None = None) -> NodeFact:
+    return NodeFact(node, op, result.value, result.may, result.must,
+                    cancellation, absorption)
 
 
 # ----------------------------------------------------------------------

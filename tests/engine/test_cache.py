@@ -77,18 +77,22 @@ class TestDiskTier:
         assert fresh.get("torn") is MISS
 
     def test_torn_line_counted(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(capacity=4, disk_path=path)
-        cache.put("first", "t", 1)
-        with open(path, "a") as handle:
-            handle.write('{"key": "torn", "res\n')
-        cache.put("second", "t", 2)
-        fresh = ResultCache(capacity=4, disk_path=path)
-        assert fresh.get("first") == 1
-        assert fresh.get("second") == 2
-        assert fresh.stats.disk_hits == 2
-        assert fresh.stats.torn_lines == 1
-        assert fresh.stats.to_dict()["torn_lines"] == 1
+        # Without its newline the fragment is the file's last line: the
+        # next put must still start a line of its own.
+        fragments = ('{"key": "torn", "res\n', '{"key": "torn", "res')
+        for i, fragment in enumerate(fragments):
+            path = tmp_path / f"cache{i}.jsonl"
+            cache = ResultCache(capacity=4, disk_path=path)
+            cache.put("first", "t", 1)
+            with open(path, "a") as handle:
+                handle.write(fragment)
+            cache.put("second", "t", 2)
+            fresh = ResultCache(capacity=4, disk_path=path)
+            assert fresh.get("first") == 1
+            assert fresh.get("second") == 2, repr(fragment)
+            assert fresh.stats.disk_hits == 2
+            assert fresh.stats.torn_lines == 1
+            assert fresh.stats.to_dict()["torn_lines"] == 1
 
     def test_clear_truncates(self, tmp_path):
         path = tmp_path / "cache.jsonl"
