@@ -102,12 +102,13 @@ _ENGINE_CHUNK = 4096
 def _batched_engine_results(
     op: str,
     fmt: FloatFormat,
-    plan: list[tuple[int, tuple[int, ...], RoundingMode, bool, bool]],
+    plan: list[tuple[int, bool, tuple[int, ...], RoundingMode, bool, bool]],
     backend,
 ) -> list[tuple[int, int]]:
     """Run a slice's evaluation plan through a softfloat backend.
 
-    ``plan`` rows are ``(case_index, operands, mode, ftz, daz)``.
+    ``plan`` rows are the :func:`_iter_evals` items
+    ``(case_index, first_of_case, operands, mode, ftz, daz)``.
     Evaluations are grouped by environment — one ``run_packed`` call
     handles a whole (mode, FTZ, DAZ) cell at a time — and results come
     back aligned with the plan, as the same ``(bits, flag value)``
@@ -121,19 +122,19 @@ def _batched_engine_results(
 
     results: list[tuple[int, int] | None] = [None] * len(plan)
     groups: dict[tuple, list[int]] = {}
-    for pos, (_, _, mode, ftz, daz) in enumerate(plan):
+    for pos, (_, _, _, mode, ftz, daz) in enumerate(plan):
         groups.setdefault((mode, ftz, daz), []).append(pos)
     for (mode, ftz, daz), positions in groups.items():
         if not backend.supports(op, fmt, mode, ftz, daz):
             for pos in positions:
-                operands = plan[pos][1]
+                operands = plan[pos][2]
                 results[pos] = _engine_run(op, fmt, operands, mode, ftz, daz)
             continue
         for start in range(0, len(positions), _ENGINE_CHUNK):
             chunk = positions[start:start + _ENGINE_CHUNK]
-            arity = len(plan[chunk[0]][1])
+            arity = len(plan[chunk[0]][2])
             lanes = [
-                np.array([plan[pos][1][slot] for pos in chunk],
+                np.array([plan[pos][2][slot] for pos in chunk],
                          dtype=np.uint64)
                 for slot in range(arity)
             ]
@@ -507,11 +508,11 @@ def _drive_op_cases(
     selection, budget cutoff, shrinking — depends only on the case
     index, never on which process is executing.
 
-    With a non-scalar ``engine_backend`` the engine side of every
-    evaluation is computed up front in vectorized blocks (grouped by
-    rounding/FTZ/DAZ cell), and the oracle comparison replays over the
-    precomputed results in stream order; the per-evaluation latency
-    histogram then times the oracle half only.
+    With a non-scalar ``engine_backend`` the stream is materialized once
+    as the plan, the engine side of every evaluation is computed up front
+    in vectorized blocks (grouped by rounding/FTZ/DAZ cell), and the
+    oracle comparison replays the plan in stream order; the
+    per-evaluation latency histogram then times the oracle half only.
     """
     telemetry = get_telemetry()
     instrumented = telemetry.enabled
@@ -527,13 +528,9 @@ def _drive_op_cases(
     if engine_backend != "scalar":
         from repro.softfloat.backend import get_backend
 
-        backend = get_backend(engine_backend)
-        plan = [
-            (index, operands, mode, ftz, daz)
-            for index, _, operands, mode, ftz, daz in stream
-        ]
-        engine_results = _batched_engine_results(op, fmt, plan, backend)
-        stream = _iter_evals(op, fmt, budget, seed, matrix, case_lo, case_hi)
+        stream = list(stream)
+        engine_results = _batched_engine_results(
+            op, fmt, stream, get_backend(engine_backend))
 
     # Hot-loop bindings: the per-eval instrumented cost is two clock
     # reads and one histogram observation; the eval counter is a local

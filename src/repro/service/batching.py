@@ -21,8 +21,10 @@ Two dispatchers, same shape:
 
 A batch flushes when it reaches ``max_lanes``/``max_jobs`` or when the
 oldest rider has waited ``max_delay`` seconds — the classic
-throughput/latency knob.  Riders receive their slice through a future;
-a failed flush fails every rider with the underlying error.
+throughput/latency knob.  Riders receive their slice through a future.
+When a coalesced call raises, every rider is rerun alone, so the error
+reaches only the riders that cause it and their co-riders still get
+their results (counted as ``service.batch_solo_reruns``).
 """
 
 from __future__ import annotations
@@ -121,6 +123,34 @@ class _BatcherBase:
     async def _run_flush(self, key: Any, pending: _Pending) -> None:
         raise NotImplementedError
 
+    async def _deliver(self, pending: _Pending, call) -> None:
+        """Resolve the riders' futures from ``call(payloads)``, which
+        returns one result per payload.  If the coalesced call raises,
+        each rider reruns alone so only a failing rider gets an error."""
+        try:
+            outcomes = [(None, r) for r in
+                        await asyncio.to_thread(call, pending.payloads)]
+        except Exception as exc:
+            if len(pending.payloads) == 1:
+                outcomes = [(exc, None)]
+            else:
+                _registry(self.metrics).counter(
+                    "service.batch_solo_reruns").inc()
+                outcomes = []
+                for payload in pending.payloads:
+                    try:
+                        (result,) = await asyncio.to_thread(call, [payload])
+                        outcomes.append((None, result))
+                    except Exception as solo_exc:
+                        outcomes.append((solo_exc, None))
+        for future, (exc, result) in zip(pending.futures, outcomes):
+            if future.done():
+                continue
+            if exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+
     async def drain(self) -> None:
         """Flush every forming batch and wait for the riders."""
         flushes = []
@@ -168,8 +198,7 @@ class MicroBatcher(_BatcherBase):
 
         op, fmt, mode, ftz, daz, dst_fmt = key
         arity = len(pending.payloads[0])
-        lanes = [len(p[0]) for p in pending.payloads]
-        total = sum(lanes)
+        total = sum(len(p[0]) for p in pending.payloads)
         self.stats.flushes += 1
         self.stats.lanes += total
         metrics = _registry(self.metrics)
@@ -181,33 +210,26 @@ class MicroBatcher(_BatcherBase):
             total / self.max_lanes if self.max_lanes else 0.0
         )
 
-        def run():
+        def run(payloads):
             operands = [
                 np.asarray(
-                    [lane for payload in pending.payloads
-                     for lane in payload[i]],
+                    [lane for payload in payloads for lane in payload[i]],
                     dtype=np.uint64,
                 )
                 for i in range(arity)
             ]
-            return self.backend.run_packed(
+            result = self.backend.run_packed(
                 op, fmt, operands, mode, ftz, daz, dst_fmt=dst_fmt
             )
+            bits, flags = result.bits.tolist(), result.flags.tolist()
+            split, offset = [], 0
+            for payload in payloads:
+                n = len(payload[0])
+                split.append((bits[offset:offset + n], flags[offset:offset + n]))
+                offset += n
+            return split
 
-        try:
-            result = await asyncio.to_thread(run)
-        except Exception as exc:
-            for future in pending.futures:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        offset = 0
-        for future, n in zip(pending.futures, lanes):
-            bits = [int(b) for b in result.bits[offset:offset + n]]
-            flags = [int(f) for f in result.flags[offset:offset + n]]
-            offset += n
-            if not future.done():
-                future.set_result((bits, flags))
+        await self._deliver(pending, run)
 
 
 class JobCoalescer(_BatcherBase):
@@ -243,24 +265,19 @@ class JobCoalescer(_BatcherBase):
         metrics.gauge("service.job_fill_ratio").set(
             len(pending.payloads) / self.max_jobs if self.max_jobs else 0.0
         )
-        shards = tuple(
-            Shard(
-                index=index,
-                spec=(spec := TaskSpec(task=task_name, params=params)),
-                # spec-addressed, not position-addressed: the cache key
-                # must not depend on who else rode this batch
-                seed=derive_seed(self.seed, task_name, spec.canonical()),
+
+        def run(payloads):
+            shards = tuple(
+                Shard(
+                    index=index,
+                    spec=(spec := TaskSpec(task=task_name, params=params)),
+                    # spec-addressed, not position-addressed: the cache
+                    # key must not depend on who else rode this batch
+                    seed=derive_seed(self.seed, task_name, spec.canonical()),
+                )
+                for index, params in enumerate(payloads)
             )
-            for index, params in enumerate(pending.payloads)
-        )
-        job = Job(name=f"service.{task_name}", shards=shards, merge=None)
-        try:
-            results = await asyncio.to_thread(self.engine.run, job)
-        except Exception as exc:
-            for future in pending.futures:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for future, result in zip(pending.futures, results):
-            if not future.done():
-                future.set_result(result)
+            job = Job(name=f"service.{task_name}", shards=shards, merge=None)
+            return self.engine.run(job)
+
+        await self._deliver(pending, run)

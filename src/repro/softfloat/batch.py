@@ -9,29 +9,55 @@ via :meth:`BatchBackend.supports`; the differential suite in
 ``tests/softfloat/test_backends.py`` pins this against the exact
 oracle.
 
-Width bounds (why ``supports`` gates on precision)
---------------------------------------------------
-All lane arithmetic runs in ``uint64``/``int64``, so every intermediate
-must fit in 63 bits with its round/sticky structure intact:
+Width bounds (why ``supports`` stops at precision 53)
+----------------------------------------------------
+All lane arithmetic runs in ``uint64``/``int64`` words; a *wide* value
+is a ``(hi, lo)`` pair of uint64 words built from 32-bit limbs.  Every
+op hands :func:`_round_pack` a mantissa below ``2**61`` plus a sticky
+bit; with ``p <= 53`` the round bit then sits at least 7 places above
+anything folded into sticky (:func:`_narrow`).  ``mul``/``div``/``fma``/
+``sqrt`` first shift subnormal significands up to exactly ``p`` bits
+(:func:`_sig_norm`), which pins every width below:
 
-- *add/sub* (``precision <= 53``): operands are aligned into a shared
-  granularity window ``g = max(min(e1, e2), M - 57)`` where ``M`` is the
-  larger operand's MSB exponent.  Each aligned magnitude then spans at
-  most 58 bits and the signed sum fits ``int64``.  Discarding below the
-  window is sound: bits are only lost when the granularities differ by
-  more than 57, in which case the non-dominant operand is below
-  ``2**(M-4)``, the sum keeps its MSB at ``M`` or ``M-1``, and the
-  result's round bit sits at least 3 bits above the window floor — the
-  discarded amount is pure sticky.  A lost amount on the side opposite
-  the result's sign turns into a borrow (``mag -= 1``) plus sticky.
-- *mul* (``precision <= 28``): the full significand product spans at
-  most ``2p <= 56`` bits — exact.
-- *div/fma* (``precision <= 27``): the scaled quotient spans at most
-  ``2p + 3 <= 57`` bits; the fma product at most ``2p <= 54`` bits and
-  then rides the add/sub window machinery.
-- *sqrt* (``precision <= 24``): the scaled radicand spans at most
-  ``2p + 5 <= 53`` bits, so ``float64`` square root plus a two-step
-  integer fix-up recovers the exact integer root.
+- *add/sub*: operands are aligned into a shared granularity window
+  ``g = max(min(e1, e2), M - 57)`` where ``M`` is the larger operand's
+  MSB exponent.  Each aligned magnitude then spans at most 58 bits and
+  the signed sum fits ``int64``.  Discarding below the window is sound:
+  bits are only lost when the granularities differ by more than 57, in
+  which case the non-dominant operand is below ``2**(M-4)``, the sum
+  keeps its MSB at ``M`` or ``M-1``, and the result's round bit sits at
+  least 3 bits above the window floor — the discarded amount is pure
+  sticky.  A lost amount on the side opposite the result's sign turns
+  into a borrow (``mag -= 1``) plus sticky.
+- *mul*: the product of two ``p``-bit significands has ``2p - 1`` or
+  ``2p <= 106`` bits and is exact in :func:`_mul_wide` (every limb
+  partial sum is below ``2**64``).  One fixed cut of ``max(2p - 61, 0)``
+  bits leaves 60 or 61 bits (all of them when ``2p <= 61``).
+- *div*: ``num << (p + 2)`` over ``den``, both ``p``-bit, by long
+  division in chunks of ``63 - p >= 10`` bits (:func:`_long_divide`):
+  the running remainder is below ``den < 2**p``, so each chunk's
+  numerator is below ``2**63``.  The quotient has ``p + 2`` or ``p + 3
+  <= 56`` bits; the remainder is the sticky bit.
+- *sqrt*: the radicand ``R = m << s`` with ``s`` in ``{p + 4, p + 5}``
+  (even exponent) is below ``2**(2p + 5) <= 2**111`` and its root has
+  ``p + 2 <= 55`` bits.  ``ldexp(m, s)`` is exact for ``m < 2**53``, so
+  the float64 root is within 5 of the true root; every candidate that
+  close has ``|R - r*r| < 2**60``, so the residual is the wrapping
+  difference of the low words read as ``int64`` (:func:`_isqrt_wide`).
+- *fma*: the ``2p``-bit product and the ``p``-bit addend are
+  top-aligned below ``2**125`` by fixed shifts ``125 - 2p`` and
+  ``125 - p``; the one on the finer grid moves right onto the other's
+  grid (:func:`_fma_sum`), and the two's-complement sum stays below
+  ``2**126``.  Set bits are lost only when the mover travels past its
+  lowest possible set bit (``125 - 2p`` or ``125 - p``), which leaves
+  it below ``2**(2p - 1)`` beside a stayer of at least ``2**123``: the
+  sum is then at least ``2**122``, its round bit at least 68 places up,
+  and the lost amount (under one grid unit) is pure sticky, with the
+  add/sub borrow rule.  :func:`_narrow` compresses the sum to 61 bits.
+
+Precision 53 is where these stop holding: the float64 estimate needs
+``m < 2**53`` and the 61-bit mantissa needs ``p <= 53`` for its sticky
+margin.
 
 The vectorized :func:`_round_pack` mirrors ``round_and_pack`` branch for
 branch (tininess before rounding, underflow only when tiny *and*
@@ -74,7 +100,7 @@ F_DENORMAL = np.uint8(FPFlag.DENORMAL_RESULT.value)
 # Integer lane primitives
 # ----------------------------------------------------------------------
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Per-lane ``int.bit_length`` for uint64 values below ``2**63``.
+    """Per-lane ``int.bit_length`` for uint64 values.
 
     Exact by construction: each 32-bit half converts to float64 without
     rounding, and ``frexp``'s exponent *is* the bit length.
@@ -86,19 +112,169 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(hi > 0, ehi.astype(I64) + 32, elo.astype(I64))
 
 
+def _count(k: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Shift counts ``k`` clamped into [lo, hi] as uint64 (``np.clip`` is
+    several times slower on short lanes)."""
+    return np.minimum(np.maximum(k, lo), hi).astype(U64)
+
+
+def _select(conds: list, choices: list, default: np.ndarray) -> np.ndarray:
+    """``np.select`` as a chain of ``np.where`` (the first true condition
+    wins), which is several times cheaper on short lanes."""
+    for cond, choice in zip(reversed(conds), reversed(choices)):
+        default = np.where(cond, choice, default)
+    return default
+
+
 def _shl(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``x << k`` with ``k`` clamped into [0, 63] (callers bound live
     lanes; dead lanes may wrap harmlessly)."""
-    return x << np.clip(k, 0, 63).astype(U64)
+    return x << _count(k, 0, 63)
 
 
 def _shr_sticky(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(x >> k, any bits lost)`` — exact for ``x < 2**62`` with the
     shift clamped at 62 (a clamped lane keeps all of ``x`` as sticky)."""
-    kc = np.clip(k, 0, 62).astype(U64)
+    kc = _count(k, 0, 62)
     kept = x >> kc
     lost = (x & ((U64(1) << kc) - U64(1))) != 0
     return kept, lost
+
+
+# ----------------------------------------------------------------------
+# Two-limb (128-bit) lane arithmetic: a wide value is a ``(hi, lo)``
+# pair of uint64 lanes meaning ``hi * 2**64 + lo``.
+# ----------------------------------------------------------------------
+_LIMB = U64(32)
+_LIMB_MASK = U64(0xFFFFFFFF)
+
+
+def _mul_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``a * b`` of two uint64 lane arrays as a wide ``(hi, lo)``.
+
+    Schoolbook over 32-bit limbs; each partial sum is at most
+    ``(2**32 - 1)**2 + (2**32 - 1) < 2**64``, so nothing wraps.
+    """
+    a0, a1 = a & _LIMB_MASK, a >> _LIMB
+    b0, b1 = b & _LIMB_MASK, b >> _LIMB
+    t = a0 * b0
+    w0 = t & _LIMB_MASK
+    t = a1 * b0 + (t >> _LIMB)
+    w1, w2 = t & _LIMB_MASK, t >> _LIMB
+    t = a0 * b1 + w1
+    return a1 * b1 + w2 + (t >> _LIMB), (t << _LIMB) | w0
+
+
+def _bit_length_wide(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Per-lane bit length of a wide value."""
+    return np.where(hi != 0, _bit_length(hi) + 64, _bit_length(lo))
+
+
+def _shl_wide(
+    hi: np.ndarray, lo: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wide ``(hi, lo) << k`` for a fixed ``k`` in [1, 127]; callers keep
+    the shifted value below ``2**128``."""
+    if k >= 64:
+        return lo << U64(k - 64), np.zeros_like(lo)
+    return (hi << U64(k)) | (lo >> U64(64 - k)), lo << U64(k)
+
+
+def _shr_wide_sticky(
+    hi: np.ndarray, lo: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wide ``((hi, lo) >> k, any bits lost)`` for per-lane ``k >= 0``.
+
+    ``k`` is clamped at 127, which loses every bit of a value below
+    ``2**127`` (all callers' values are).  Every numpy shift count stays
+    in [0, 63].
+    """
+    k = _count(k, 0, 127)
+    small = k < U64(64)
+    ks = np.minimum(k, U64(63))
+    kb = np.maximum(k, U64(64)) - U64(64)
+    lo_small = (lo >> ks) | ((hi << U64(1)) << (U64(63) - ks))
+    lost_small = (lo & ((U64(1) << ks) - U64(1))) != 0
+    lost_big = (lo != 0) | ((hi & ((U64(1) << kb) - U64(1))) != 0)
+    return (
+        np.where(small, hi >> ks, U64(0)),
+        np.where(small, lo_small, hi >> kb),
+        np.where(small, lost_small, lost_big),
+    )
+
+
+def _negate_wide(
+    hi: np.ndarray, lo: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two's-complement negation of the wide lanes selected by ``mask``."""
+    neg_hi = ~hi + (lo == 0).astype(U64)
+    return np.where(mask, neg_hi, hi), np.where(mask, U64(0) - lo, lo)
+
+
+def _narrow(
+    hi: np.ndarray, lo: np.ndarray, exp2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compress a wide ``(hi, lo) * 2**exp2`` magnitude below ``2**127``
+    to ``(mant, exp2', sticky)`` with ``mant < 2**61``, the
+    :func:`_round_pack` contract.
+
+    The dropped bits are pure sticky: a 61-bit ``mant`` keeps its round
+    bit at least ``61 - 53 - 1 = 7`` places above the cut for every
+    precision up to 53 (and further above on tiny results, whose lsb is
+    coarser still).
+    """
+    shift = np.maximum(_bit_length_wide(hi, lo) - 61, 0)
+    _, mant, lost = _shr_wide_sticky(hi, lo, shift)
+    return mant, exp2 + shift, lost
+
+
+def _long_divide(
+    num: np.ndarray, den: np.ndarray, precision: int, extra: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``divmod(num << extra, den)`` for ``den < 2**precision`` and
+    ``num < 2 * den``.
+
+    Long division in chunks of ``63 - precision`` bits: the running
+    remainder stays below ``den``, so each chunk's numerator
+    ``rem << k`` is below ``2**63`` and native uint64 ``//`` is exact.
+    The quotient is below ``2**(extra + 1)``.
+    """
+    quotient = (num >= den).astype(U64)
+    rem = num - quotient * den
+    while extra > 0:
+        k = min(63 - precision, extra)
+        rem = rem << U64(k)
+        digit = rem // den
+        rem = rem - digit * den
+        quotient = (quotient << U64(k)) | digit
+        extra -= k
+    return quotient, rem
+
+
+def _isqrt_wide(
+    mant: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(r, R - r*r)`` with ``r = isqrt(R)`` for the radicand
+    ``R = mant << shift``, where ``mant < 2**53`` and ``R < 2**111``.
+
+    ``ldexp`` of a 53-bit integer is exact, so the float64 root is
+    correctly rounded: within 5 of the true root (below ``2**56``, ulp at
+    most 8).  For every candidate within 5 of the root ``|R - r*r|`` is
+    below ``2**60``, so the wide residual equals the difference of the
+    low words, taken in wrapping uint64 and read as int64.  One Newton
+    step on that residual lands within 1 of ``isqrt(R)``; one compare
+    each way finishes.
+    """
+    r_lo = mant << shift.astype(U64)
+    root = np.sqrt(np.ldexp(mant.astype(np.float64), shift)).astype(U64)
+    resid = (r_lo - root * root).view(I64)
+    step = np.floor(resid / (2.0 * root.astype(np.float64))).astype(I64)
+    root = (root.astype(I64) + step).astype(U64)
+    resid = (r_lo - root * root).view(I64)
+    over = resid < 0  # root**2 > R
+    under = resid > 2 * root.astype(I64)  # (root + 1)**2 <= R
+    root = root - over.astype(U64) + under.astype(U64)
+    return root, (r_lo - root * root).view(I64)
 
 
 def _rounds_away(
@@ -154,11 +330,11 @@ def _round_pack(
     shift = lsb_exp - exp2
     left = shift <= 0
     kept_l = _shl(mant, -shift)
+    below = _count(shift - 1, 0, 61)
     kept_r, rb_r, stk_r = (
-        mant >> np.clip(shift, 1, 62).astype(U64),
-        (mant >> np.clip(shift - 1, 0, 61).astype(U64)) & U64(1),
-        sticky_in
-        | ((mant & ((U64(1) << np.clip(shift - 1, 0, 61).astype(U64)) - U64(1))) != 0),
+        mant >> _count(shift, 1, 62),
+        (mant >> below) & U64(1),
+        sticky_in | ((mant & ((U64(1) << below) - U64(1))) != 0),
     )
     kept = np.where(left, kept_l, kept_r)
     round_bit = np.where(left, U64(0), rb_r)
@@ -198,7 +374,7 @@ def _round_pack(
         )
     flags[overflow & live] |= F_OVERFLOW | F_INEXACT
 
-    biased = np.clip(rounded_msb + fmt.bias, 0, fmt.max_biased_exp).astype(U64)
+    biased = _count(rounded_msb + fmt.bias, 0, fmt.max_biased_exp)
     normal_bits = signbit | (biased << U64(fmt.frac_bits)) | (kept & U64(fmt.sig_mask))
 
     if ftz:
@@ -255,6 +431,15 @@ def _sig_value(fmt: FloatFormat, lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]
         I64(fmt.emin - fmt.frac_bits),
     )
     return mant, exp2
+
+
+def _sig_norm(fmt: FloatFormat, lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sig_value` with subnormal significands shifted up to exactly
+    ``precision`` bits (exponent adjusted, value unchanged); zero lanes
+    stay zero."""
+    mant, exp2 = _sig_value(fmt, lanes)
+    shift = np.maximum(fmt.precision - _bit_length(mant), 0)
+    return mant << shift.astype(U64), exp2 - shift
 
 
 def _nan_propagation(
@@ -331,6 +516,58 @@ def _signed_sum(
     return is_zero, sign, mag, g, lost
 
 
+def _fma_sum(
+    precision: int,
+    phi: np.ndarray,
+    plo: np.ndarray,
+    pe: np.ndarray,
+    ps: np.ndarray,
+    m3: np.ndarray,
+    e3: np.ndarray,
+    s3: np.ndarray,
+    live: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Windowed exact signed sum of a wide product ``(phi, plo) * 2**pe``
+    and a one-word addend ``m3 * 2**e3``, narrowed for :func:`_round_pack`.
+
+    Returns ``(is_zero, sign, mant, exp2, sticky)``.  The product must
+    come from normalized significands (``2p - 1`` or ``2p`` bits) and
+    ``m3`` must have ``p`` bits or be zero.  See the module docstring for
+    the window bound.
+    """
+    has3 = live & (m3 != 0)
+    # Top-align both operands just below 2**125 with fixed shifts.
+    lift_p = 125 - 2 * precision
+    lift_c = 125 - precision
+    phi, plo = _shl_wide(phi, plo, lift_p)
+    chi, clo = _shl_wide(np.zeros_like(m3), np.where(has3, m3, U64(0)), lift_c)
+    d = (pe - lift_p) - (e3 - lift_c)
+    # The operand on the finer grid moves right onto the other's grid.
+    p_moves = has3 & (d < 0)
+    shi, slo = np.where(p_moves, chi, phi), np.where(p_moves, clo, plo)
+    mhi, mlo, lost = _shr_wide_sticky(
+        np.where(p_moves, phi, chi), np.where(p_moves, plo, clo), np.abs(d)
+    )
+    s_sign = np.where(p_moves, s3, ps)
+    m_sign = np.where(p_moves, ps, s3)
+    g = np.where(p_moves, e3 - lift_c, pe - lift_p)
+
+    # Two's-complement sum relative to the staying operand's sign.
+    mhi, mlo = _negate_wide(mhi, mlo, s_sign != m_sign)
+    lo = slo + mlo
+    hi = shi + mhi + (lo < slo).astype(U64)
+    neg = (hi >> U64(63)) != 0
+    hi, lo = _negate_wide(hi, lo, neg)
+    sign = s_sign ^ neg.astype(U64)
+    is_zero = live & (hi == 0) & (lo == 0)  # only reachable when nothing was lost
+    # A lost amount on the side opposite the result's sign is a borrow.
+    borrow = lost & (m_sign != sign)
+    hi = hi - (borrow & (lo == 0)).astype(U64)
+    lo = lo - borrow.astype(U64)
+    mant, exp2, sticky = _narrow(hi, lo, g)
+    return is_zero, sign, mant, exp2, sticky | lost
+
+
 # ----------------------------------------------------------------------
 # Batched operations
 # ----------------------------------------------------------------------
@@ -369,7 +606,7 @@ def _batch_addsub(fmt, a, b, mode, ftz, daz, negate_b):
     rbits, rflags = _round_pack(fmt, mode, ftz, sign, mag, g, stk, generic & ~is_zero)
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, inf_invalid, inf_any, both_zero, a_zero_only, b_zero_only, is_zero],
         [nan_bits, default_nan, inf_bits, both_zero_bits, B.bits, A.bits, ezs_bits],
         default=rbits,
@@ -396,15 +633,20 @@ def _batch_mul(fmt, a, b, mode, ftz, daz):
     zero_res = (A.zero | B.zero) & ~inf_any
 
     generic = ~nan_mask & ~inf_any & ~A.zero & ~B.zero
-    m1, e1 = _sig_value(fmt, A)
-    m2, e2 = _sig_value(fmt, B)
-    product = m1 * m2  # <= 2**(2p) <= 2**56 for the supported precisions
+    m1, e1 = _sig_norm(fmt, A)
+    m2, e2 = _sig_norm(fmt, B)
+    # Normalized significands make the product exactly 2p-1 or 2p bits,
+    # so one fixed cut narrows it to at most 61 bits plus sticky.
+    hi, lo = _mul_wide(m1, m2)
+    cut = max(2 * fmt.precision - 61, 0)
+    lost = (lo & U64((1 << cut) - 1)) != 0
+    mant = (lo >> U64(cut)) | (hi << U64(64 - cut)) if cut else lo
     rbits, rflags = _round_pack(
-        fmt, mode, ftz, sign, product, e1 + e2, np.zeros(n, dtype=bool), generic
+        fmt, mode, ftz, sign, mant, e1 + e2 + cut, lost, generic
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, mul_invalid, inf_any, zero_res],
         [nan_bits, default_nan, signbit | U64(fmt.inf_bits(0)), signbit],
         default=rbits,
@@ -433,23 +675,21 @@ def _batch_div(fmt, a, b, mode, ftz, daz):
     zero_res = (B.inf & ~A.inf) | (A.zero & ~B.zero & ~B.inf)
 
     generic = ~nan_mask & ~A.inf & ~B.inf & ~A.zero & ~B.zero
-    m1, e1 = _sig_value(fmt, A)
-    m2, e2 = _sig_value(fmt, B)
-    m1s = np.where(generic, m1, U64(1))
-    m2s = np.where(generic, m2, U64(1))
-    bl1 = _bit_length(m1s)
-    bl2 = _bit_length(m2s)
-    # Scale the numerator so the quotient carries `precision + 3` bits.
-    extra = np.maximum(fmt.precision + 3 + (bl2 - bl1), 0)
-    num = _shl(m1s, extra)
-    quotient = num // m2s
-    sticky = (num - quotient * m2s) != 0
+    m1, e1 = _sig_norm(fmt, A)
+    m2, e2 = _sig_norm(fmt, B)
+    num = np.where(generic, m1, U64(1))
+    den = np.where(generic, m2, U64(1))
+    # Both significands have exactly p bits, so num < 2*den and the
+    # quotient of num * 2**extra carries extra or extra + 1 bits:
+    # p + 2 or p + 3, past the round bit, with the remainder as sticky.
+    extra = fmt.precision + 2
+    quotient, rem = _long_divide(num, den, fmt.precision, extra)
     rbits, rflags = _round_pack(
-        fmt, mode, ftz, sign, quotient, e1 - e2 - extra, sticky, generic
+        fmt, mode, ftz, sign, quotient, e1 - e2 - extra, rem != 0, generic
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, div_invalid, inf_res, zero_res],
         [nan_bits, default_nan, signbit | U64(fmt.inf_bits(0)), signbit],
         default=rbits,
@@ -495,17 +735,17 @@ def _batch_fma(fmt, a, b, c, mode, ftz, daz):
     pz_c = prod_zero & ~C.zero
 
     generic = ~nan_like & ~ab_inf & ~C.inf & ~prod_zero
-    m1, e1 = _sig_value(fmt, A)
-    m2, e2 = _sig_value(fmt, B)
-    m3, e3 = _sig_value(fmt, C)
-    product = m1 * m2  # <= 2**(2p) <= 2**54
-    is_zero, sign, mag, g, stk = _signed_sum(
-        product, e1 + e2, psign, m3, e3, C.sign, generic
+    m1, e1 = _sig_norm(fmt, A)
+    m2, e2 = _sig_norm(fmt, B)
+    m3, e3 = _sig_norm(fmt, C)
+    phi, plo = _mul_wide(m1, m2)
+    is_zero, sign, mag, g, stk = _fma_sum(
+        fmt.precision, phi, plo, e1 + e2, psign, m3, e3, C.sign, generic
     )
     rbits, rflags = _round_pack(fmt, mode, ftz, sign, mag, g, stk, generic & ~is_zero)
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [
             snan_any,
             pinv_path,
@@ -548,30 +788,20 @@ def _batch_sqrt(fmt, a, mode, ftz, daz):
     pos_inf = A.inf & (A.sign == 0)
     generic = ~nan_mask & ~A.zero & ~negative & ~pos_inf
 
-    mant, exp2 = _sig_value(fmt, A)
-    mant_s = np.where(generic, mant, U64(1))
-    bl = _bit_length(mant_s)
-    # Scale to `2*(precision+2)` bits with an even exponent, then take
-    # the exact integer root: float64 sqrt plus a two-step fix-up (the
-    # scaled radicand stays below 2**53, so the float path is exact).
-    shift = 2 * (fmt.precision + 2) - bl
-    shift = np.where(((exp2 - shift) & 1) != 0, shift + 1, shift)
-    scaled = _shl(mant_s, shift)
-    root = np.sqrt(scaled.astype(np.float64)).astype(U64)
-    root = np.where(root * root > scaled, root - U64(1), root)
-    root = np.where(root * root > scaled, root - U64(1), root)
-    up = root + U64(1)
-    root = np.where(up * up <= scaled, up, root)
-    up = root + U64(1)
-    root = np.where(up * up <= scaled, up, root)
-    sticky = (root * root) != scaled
+    mant, exp2 = _sig_norm(fmt, A)
+    mant = np.where(generic, mant, U64(1))
+    # Scale the p-bit significand to a 2p+4 or 2p+5 bit radicand with an
+    # even exponent, whose integer root then carries p + 2 bits.
+    p = fmt.precision
+    shift = np.where(((exp2 - (p + 4)) & 1) != 0, p + 5, p + 4)
+    root, rem = _isqrt_wide(mant, shift)
     rbits, rflags = _round_pack(
-        fmt, mode, ftz, np.zeros(n, dtype=U64), root, (exp2 - shift) >> 1, sticky,
-        generic,
+        fmt, mode, ftz, np.zeros(n, dtype=U64), root, (exp2 - shift) >> 1,
+        rem != 0, generic,
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, A.zero, negative, pos_inf],
         [nan_bits, A.bits, default_nan, A.bits],
         default=rbits,
@@ -629,7 +859,7 @@ def _batch_convert(src, dst, a, mode, ftz):
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [A.nan, A.inf, A.zero],
         [nan_bits, dst_signbit | U64(dst.inf_bits(0)), dst_signbit],
         default=rbits,
@@ -665,14 +895,8 @@ class BatchBackend(SoftFloatBackend):
                 and fmt.precision <= 53
                 and dst_fmt.precision <= 53
             )
-        if op in ("add", "sub"):
+        if op in ("add", "sub", "mul", "div", "fma", "sqrt"):
             return fmt.precision <= 53
-        if op == "mul":
-            return fmt.precision <= 28
-        if op in ("div", "fma"):
-            return fmt.precision <= 27
-        if op == "sqrt":
-            return fmt.precision <= 24
         return False
 
     def run_packed(

@@ -1,4 +1,4 @@
-"""Batching dispatchers: coalescing, bit-identity, failure fan-out."""
+"""Batching dispatchers: coalescing, bit-identity, failure isolation."""
 
 from __future__ import annotations
 
@@ -116,6 +116,48 @@ class TestMicroBatcher:
 
         run(main())
 
+    def test_backend_failure_fails_only_the_culprit(self):
+        """A coalesced call that raises is rerun rider by rider: the
+        rider carrying the poisoned lane gets the error, and its
+        co-riders get exactly the scalar reference's bits and flags."""
+        import numpy as np
+
+        poison = 0x7F800001  # a signaling NaN no valid rider sends
+        scalar = get_backend("scalar")
+
+        class PoisonedBackend:
+            def run_packed(self, op, fmt, operands, *args, **kwargs):
+                if poison in operands[0].tolist():
+                    raise ValueError("poisoned lane")
+                return scalar.run_packed(op, fmt, operands, *args, **kwargs)
+
+        key = ("mul", BINARY32, RoundingMode.TOWARD_ZERO, True, True, None)
+        valid = [
+            [[ONE, 0x3EAAAAAB, 0x00000001], [TWO, 0x3EAAAAAB, 0x7F7FFFFF]],
+            [[TWO], [0x00800000]],
+        ]
+
+        async def main():
+            batcher = MicroBatcher(PoisonedBackend(), max_delay=0.005)
+            return batcher, await asyncio.gather(
+                batcher.submit(key, valid[0]),
+                batcher.submit(key, [[ONE, poison], [ONE, ONE]]),
+                batcher.submit(key, valid[1]),
+                return_exceptions=True,
+            )
+
+        batcher, results = run(main())
+        assert batcher.stats.flushes == 1
+        assert isinstance(results[1], ValueError)
+        for operands, got in zip(valid, (results[0], results[2])):
+            direct = scalar.run_packed(
+                "mul", BINARY32,
+                [np.asarray(col, dtype=np.uint64) for col in operands],
+                RoundingMode.TOWARD_ZERO, True, True, None,
+            )
+            assert got == ([int(b) for b in direct.bits],
+                           [int(f) for f in direct.flags])
+
     def test_drain_flushes_forming_batch(self):
         async def main():
             batcher = MicroBatcher(get_backend("scalar"), max_delay=60.0)
@@ -199,6 +241,27 @@ class TestJobCoalescer:
             assert all(isinstance(r, RuntimeError) for r in results)
 
         run(main())
+
+    def test_engine_failure_fails_only_the_culprit(self):
+        class PickyEngine:
+            def run(self, job):
+                payloads = [s.spec.params["payload"] for s in job.shards]
+                if "poison" in payloads:
+                    raise RuntimeError("shard on fire")
+                return payloads
+
+        async def main():
+            coalescer = JobCoalescer(PickyEngine(), max_delay=0.005)
+            return await asyncio.gather(
+                coalescer.submit("engine.test.echo", {"payload": 1}),
+                coalescer.submit("engine.test.echo", {"payload": "poison"}),
+                coalescer.submit("engine.test.echo", {"payload": 3}),
+                return_exceptions=True,
+            )
+
+        results = run(main())
+        assert results[0] == 1 and results[2] == 3
+        assert isinstance(results[1], RuntimeError)
 
     def test_size_cap_flushes_early(self):
         async def main():

@@ -8,8 +8,11 @@ the equivalence:
 
 - *property*: random encodings via :func:`tests.strategies.forall_bits`
   (hypothesis when installed, seeded sampler otherwise);
-- *corpus*: all ordered pairs of the boundary-value corpus under the
-  full rounding × FTZ/DAZ environment lattice;
+- *corpus*: all ordered pairs of the boundary-value corpus plus the
+  per-op hard-case tier (:func:`tests.strategies.hard_cases`: exact
+  results, ties, tiny/normal and overflow thresholds, fma
+  cancellation, DAZ subnormals) under the full rounding × FTZ/DAZ
+  environment lattice;
 - *exhaustive*: the full tiny-format domain lives in
   ``test_backends_exhaustive.py`` under the ``slow`` marker.
 
@@ -51,7 +54,13 @@ from repro.softfloat.backend import (
     ORD_UNORDERED,
 )
 from repro.softfloat.nativefast import NativeBackend, host_fastpath_report
-from tests.strategies import ENV_MATRIX, HARDWARE_DEFAULT, forall_bits, special_pairs
+from tests.strategies import (
+    ENV_MATRIX,
+    HARDWARE_DEFAULT,
+    forall_bits,
+    hard_cases,
+    special_pairs,
+)
 
 FORMATS = [TINY8, E4M3, BINARY16, BFLOAT16, BINARY32, BINARY64]
 FORMAT_IDS = [f.name for f in FORMATS]
@@ -74,6 +83,17 @@ def _operand_lanes(op: str, pairs: list[tuple[int, int]]) -> list[np.ndarray]:
     if arity == 2:
         return [a, b]
     return [a, b, np.roll(a, 1)]
+
+
+def _corpus_lanes(op: str, fmt) -> list[np.ndarray]:
+    """The boundary corpus spread over ``op``'s arity, followed by the
+    op's hard-case tier."""
+    corpus = _operand_lanes(op, special_pairs(fmt))
+    hard = hard_cases(fmt, op)
+    return [
+        np.concatenate([lane, np.array([c[i] for c in hard], dtype=np.uint64)])
+        for i, lane in enumerate(corpus)
+    ]
 
 
 def _shrunk_witness(op, fmt, operands, mode, ftz, daz, backend) -> tuple:
@@ -154,8 +174,7 @@ def test_native_matches_scalar_property(fmt, a_bits, b_bits):
 @pytest.mark.parametrize("fmt", FORMATS, ids=FORMAT_IDS)
 @pytest.mark.parametrize("op", ARITH_OPS + COMPARE_OPS)
 def test_batch_matches_scalar_corpus(fmt, op):
-    pairs = special_pairs(fmt)
-    lanes = _operand_lanes(op, pairs)
+    lanes = _corpus_lanes(op, fmt)
     for mode, ftz, daz in ENV_MATRIX:
         if not BATCH.supports(op, fmt, mode, ftz, daz):
             continue
@@ -168,11 +187,13 @@ def test_native_matches_scalar_corpus(fmt, op):
     mode, ftz, daz = HARDWARE_DEFAULT
     if not NATIVE.supports(op, fmt, mode, ftz, daz):
         pytest.skip(f"native fast path does not cover {op}/{fmt.name}")
-    lanes = _operand_lanes(op, special_pairs(fmt))
+    lanes = _corpus_lanes(op, fmt)
     _assert_backend_matches_scalar(op, fmt, lanes, mode, ftz, daz, NATIVE)
 
 
-@pytest.mark.parametrize("fmt", [TINY8, BINARY16, BINARY32], ids=["tiny8", "binary16", "binary32"])
+@pytest.mark.parametrize(
+    "fmt", [TINY8, BINARY16, BINARY32, BINARY64],
+    ids=["tiny8", "binary16", "binary32", "binary64"])
 @pytest.mark.parametrize("backend_name", ["scalar", "batch", "auto"])
 def test_backends_match_oracle_corpus(fmt, backend_name):
     """Every backend agrees with the PR 1 exact-rounding oracle (value
@@ -180,16 +201,15 @@ def test_backends_match_oracle_corpus(fmt, backend_name):
     the differential anchor that keeps 'bit-identical to scalar' from
     meaning 'identically wrong'."""
     backend = get_backend(backend_name)
-    pairs = special_pairs(fmt)
     for op in ("add", "mul", "div", "sqrt", "fma"):
-        lanes = _operand_lanes(op, pairs)
+        lanes = _corpus_lanes(op, fmt)
         for mode, ftz, daz in ENV_MATRIX:
             if not backend.supports(op, fmt, mode, ftz, daz):
                 continue
             result = backend.run_packed(op, fmt, lanes, mode, ftz, daz)
             cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz,
                                tininess="before")
-            for lane in range(len(pairs)):
+            for lane in range(len(lanes[0])):
                 operands = tuple(int(arr[lane]) for arr in lanes)
                 oracle = oracle_operation(
                     op, cfg, *(SoftFloat(fmt, b) for b in operands))
@@ -276,6 +296,19 @@ class TestProtocol:
         chosen = auto.select(
             "add", BINARY32, RoundingMode.TOWARD_ZERO, False, False)
         assert chosen.name == "batch"
+
+    def test_auto_never_falls_back_to_scalar_for_arithmetic(self):
+        """Every arithmetic cell of every format up to binary64, in every
+        environment, runs on a vector path (the binary64 "scalar cliff"
+        must stay closed)."""
+        auto = get_backend("auto")
+        for fmt in FORMATS:
+            for op in ARITH_OPS:
+                for mode, ftz, daz in ENV_MATRIX:
+                    chosen = auto.select(op, fmt, mode, ftz, daz)
+                    assert chosen.name != "scalar", (
+                        f"{op}/{fmt.name} mode={mode.value} ftz={ftz} "
+                        f"daz={daz} falls back to scalar")
 
     def test_native_refuses_unsupported_cells(self):
         mode, _, _ = HARDWARE_DEFAULT
